@@ -362,10 +362,12 @@ class ByzantineOverlay:
     def resolve_stop(self, kind: str):
         """Counts-predicate on the extended histogram for one stop kind.
 
-        Preference order mirrors the engines' own ``_resolve_stop``: the base
-        protocol's ``compiled_predicates`` fast path over the honest slice;
-        exact extended-table silence; otherwise the decoded honest
-        configuration through the slow predicate.
+        Preference order mirrors :func:`repro.engine.core.resolve_stop`: the
+        base protocol's ``compiled_predicates`` fast path over the honest
+        slice; exact extended-table silence; otherwise the decoded honest
+        configuration through the slow predicate.  It stays a function of
+        its own because its silence test runs on the extended table while
+        its other predicates see only the honest slice.
         """
         base_protocol = self.view.base_protocol
         fast = base_protocol.compiled_predicates().get(kind)

@@ -75,11 +75,11 @@ import numpy as np
 
 from repro.engine.compiled import CompiledProtocol, ProtocolCompiler, _as_raw_tables
 from repro.engine.configuration import Configuration
+from repro.engine.core import EngineCore
 from repro.engine.protocol import PopulationProtocol
 from repro.engine.results import SimulationResult
 from repro.engine.rng import RngLike, make_rng
 from repro.engine.run_config import COUNTS_EPOCH_MESSAGE, RunConfig
-from repro.engine.simulation import DEFAULT_CAP_CUBIC_FACTOR
 from repro.telemetry import metrics as _metrics
 
 #: Default bound on the expected fraction of a cell's count consumed by one
@@ -128,7 +128,7 @@ def active_pair_tables(compiled: CompiledProtocol) -> Dict[str, np.ndarray]:
     return support
 
 
-class CountsSimulation:
+class CountsSimulation(EngineCore):
     """Runs one execution of a compiled protocol on a state-count vector.
 
     Mirrors the :class:`~repro.engine.batch_simulation.BatchSimulation` API
@@ -172,6 +172,8 @@ class CountsSimulation:
         ``(class_i, state_i, class_j, state_j, out_i, out_j, count)`` --
         the debug surface the pair-by-pair replay test consumes.
     """
+
+    ENGINE = "counts"
 
     def __init__(
         self,
@@ -266,33 +268,13 @@ class CountsSimulation:
         self.interactions = 0
         self._law_cache = None
         self._structure_cache = None
-        #: The fault campaign of the last ``run(config)`` with a FaultPlan.
-        self.campaign = None
-        #: The installed ByzantineOverlay, if any (see ``_install_byzantine``).
-        self._byzantine = None
         self._drift_cap = float(drift_cap)
         self._max_window = None if max_window is None else int(max_window)
         self.window_log: Optional[List[Dict]] = [] if record_windows else None
-        #: Checkpoint hook: called as ``on_check(self)`` at every
-        #: ``check_interval`` boundary inside :meth:`run_until` where the run
-        #: is about to continue.  Must not consume ``self.rng``
-        #: (:meth:`checkpoint_state` does not) or resumed runs lose
-        #: bit-identity with uninterrupted ones.
-        self.on_check: Optional[Callable[["CountsSimulation"], None]] = None
         if scheduler_spec is not None:
-            self._install_scheduler_spec(scheduler_spec)
+            self._install_scheduler(scheduler_spec)
 
     # -- views ----------------------------------------------------------------------
-
-    @property
-    def n(self) -> int:
-        """Population size."""
-        return self.protocol.n
-
-    @property
-    def parallel_time(self) -> float:
-        """Interactions executed so far divided by the population size."""
-        return self.interactions / self.protocol.n
 
     @property
     def state_counts(self) -> np.ndarray:
@@ -314,7 +296,7 @@ class CountsSimulation:
 
     # -- scheduler installation -------------------------------------------------------
 
-    def _install_scheduler_spec(self, spec) -> None:
+    def _install_scheduler(self, spec) -> None:
         """Re-express the count matrix in the spec's weight classes.
 
         The spec is interpreted structurally (``kind`` / ``weights`` /
@@ -429,12 +411,6 @@ class CountsSimulation:
             byzantine_selection_rng,
         )
 
-        if self._byzantine is not None:
-            raise RuntimeError("a byzantine overlay is already installed")
-        if self.interactions:
-            raise RuntimeError(
-                "the byzantine overlay must be installed before any interaction"
-            )
         overlay = build_byzantine_overlay(self.protocol, self.compiled, spec)
         totals = self._matrix.sum(axis=0)
         marked = overlay.draw_marking(byzantine_selection_rng(self.rng), totals)
@@ -458,7 +434,6 @@ class CountsSimulation:
         self._seed_indices = None
         self._law_cache = None
         self._structure_cache = None
-        self._byzantine = overlay
         return overlay
 
     # -- the window sampler ------------------------------------------------------------
@@ -718,49 +693,6 @@ class CountsSimulation:
             remaining -= consumed
         return None
 
-    def _run_plan(self, config: RunConfig) -> SimulationResult:
-        """Run until ``config.stop`` holds, honouring the config's caps.
-
-        Mirrors :meth:`BatchSimulation._run_plan`: scheduler specs install
-        before the first interaction, fault events fire at their pinned
-        interaction counts via :meth:`apply_fault`, the stop condition is
-        evaluated only after the final event, and ``max_interactions`` is one
-        absolute cap -- events scheduled beyond it never fire.
-        """
-        if config.scheduler is not None:
-            self._install_scheduler_spec(config.scheduler)
-        overlay = None
-        if config.byzantine is not None:
-            overlay = self._install_byzantine(config.byzantine)
-        stopper = getattr(self, f"run_until_{config.stop}")
-        if config.faults is None or not config.faults.events:
-            result = stopper(
-                max_interactions=config.max_interactions,
-                check_interval=config.check_interval,
-            )
-            if overlay is not None:
-                overlay.annotate(result)
-            return result
-        from repro.adversary.campaign import FaultCampaign
-
-        n = self.protocol.n
-        cap = config.max_interactions
-        if cap is None:
-            cap = int(DEFAULT_CAP_CUBIC_FACTOR * n * n * n)
-        campaign = FaultCampaign(config.faults, self.rng)
-        self.campaign = campaign
-        for index, event in enumerate(config.faults.events):
-            if event.at > cap:
-                break  # the cap truncates the fault timeline
-            if self.interactions < event.at:
-                self.run(event.at - self.interactions)
-            campaign.apply_to_batch(index, self)
-        result = stopper(
-            max_interactions=config.max_interactions,
-            check_interval=config.check_interval,
-        )
-        return campaign.annotate(result)
-
     # -- faults ----------------------------------------------------------------------
 
     def apply_fault(self, agent_ids: np.ndarray, state_indices: np.ndarray) -> None:
@@ -779,20 +711,9 @@ class CountsSimulation:
         never the campaign's per-event generator, so injected fault payloads
         stay bit-identical across engines.
         """
-        agent_ids = np.asarray(agent_ids, dtype=np.int64)
-        state_indices = np.asarray(state_indices, dtype=np.int64)
-        if agent_ids.shape != state_indices.shape or agent_ids.ndim != 1:
-            raise ValueError("agent_ids and state_indices must be 1-D and equal length")
+        agent_ids, state_indices = self._check_fault(agent_ids, state_indices)
         if len(agent_ids) == 0:
             return
-        n = self.protocol.n
-        if int(agent_ids.min()) < 0 or int(agent_ids.max()) >= n:
-            raise ValueError(f"agent_ids out of range for population size {n}")
-        if len(np.unique(agent_ids)) != len(agent_ids):
-            raise ValueError("agent_ids contains duplicates")
-        num_states = self.compiled.num_states
-        if int(state_indices.min()) < 0 or int(state_indices.max()) >= num_states:
-            raise ValueError("state indices out of range for the compiled state space")
         self._seed_indices = None
         self._law_cache = None
         classes = self._class_of(agent_ids)
@@ -803,8 +724,6 @@ class CountsSimulation:
             removed = self.rng.multivariate_hypergeometric(self._matrix[group], victims)
             self._matrix[group] -= removed
         self._matrix += injected
-
-    # -- running until a condition ---------------------------------------------------
 
     # -- checkpointing -----------------------------------------------------------------
 
@@ -844,12 +763,7 @@ class CountsSimulation:
 
     def restore_checkpoint_state(self, payload: Dict) -> None:
         """Inverse of :meth:`checkpoint_state` (validates shape and sums)."""
-        if payload.get("engine") != "counts":
-            raise ValueError(
-                f"checkpoint was captured by engine {payload.get('engine')!r}, "
-                "not 'counts'"
-            )
-        self._checkpoint_guard()
+        generator_state = self._check_checkpoint(payload)
         counts = np.asarray(payload["counts"], dtype=np.int64)
         num_states = self.compiled.num_states
         if counts.shape != (num_states,):
@@ -863,13 +777,6 @@ class CountsSimulation:
                 f"checkpoint counts sum to {int(counts.sum())}, expected "
                 f"population size {self.protocol.n}"
             )
-        generator_state = dict(payload["bit_generator"])
-        expected = type(self.rng.bit_generator).__name__
-        if generator_state.get("bit_generator") != expected:
-            raise ValueError(
-                f"checkpoint holds {generator_state.get('bit_generator')!r} "
-                f"generator state, engine uses {expected!r}"
-            )
         self._matrix = counts.reshape(1, -1).copy()
         self.interactions = int(payload["interactions"])
         self._drift_cap = float(payload["drift_cap"])
@@ -879,117 +786,6 @@ class CountsSimulation:
         self._law_cache = None
         self._structure_cache = None
         self._seed_indices = None
-
-    def run_until(
-        self,
-        predicate: Optional[Callable[[Configuration], bool]] = None,
-        max_interactions: Optional[int] = None,
-        check_interval: Optional[int] = None,
-        reason: str = "predicate",
-        counts_predicate: Optional[Callable[[np.ndarray], bool]] = None,
-    ) -> SimulationResult:
-        """Run until a stopping condition holds or the cap is reached.
-
-        Same contract as the batch engine: exactly one of ``predicate``
-        (evaluated on a *decoded* configuration -- slow, and agent order is
-        arbitrary) or ``counts_predicate`` (evaluated on the state-count
-        vector -- the native path) must be given; checked before the first
-        interaction and every ``check_interval`` interactions (default ``n``).
-        """
-        if (predicate is None) == (counts_predicate is None):
-            raise ValueError("pass exactly one of predicate or counts_predicate")
-        n = self.protocol.n
-        if max_interactions is None:
-            max_interactions = int(DEFAULT_CAP_CUBIC_FACTOR * n * n * n)
-        if check_interval is None:
-            check_interval = n
-        if check_interval < 1:
-            raise ValueError(f"check_interval must be positive, got {check_interval}")
-
-        def stopped() -> bool:
-            if counts_predicate is not None:
-                return bool(counts_predicate(self.state_counts))
-            return bool(predicate(self.configuration))
-
-        while True:
-            if _metrics._PROFILING:
-                marker = time.perf_counter()
-                hit = stopped()
-                _metrics.record_stage_seconds(
-                    "counts", "stop_check", time.perf_counter() - marker
-                )
-            else:
-                hit = stopped()
-            if _metrics._ENABLED:
-                _metrics.record_stop_check("counts")
-            if hit:
-                return SimulationResult(
-                    n=n,
-                    interactions=self.interactions,
-                    stopped=True,
-                    reason=reason,
-                    engine="counts",
-                )
-            if self.interactions >= max_interactions:
-                return SimulationResult(
-                    n=n,
-                    interactions=self.interactions,
-                    stopped=False,
-                    reason="cap",
-                    engine="counts",
-                )
-            if self.on_check is not None:
-                self.on_check(self)
-            remaining = max_interactions - self.interactions
-            self.run(min(check_interval, remaining))
-
-    def _resolve_stop(self, kind: str):
-        """Resolve a stop kind to (predicate, counts_predicate).
-
-        Preference order mirrors the batch engine: the protocol's
-        ``compiled_predicates()`` fast path; for silence, the table-exact
-        :meth:`CompiledProtocol.counts_silent`; otherwise decode and call the
-        protocol's configuration predicate (only sound for predicates that do
-        not depend on agent identities, which configuration-level predicates
-        of population protocols by definition do not).
-        """
-        if self._byzantine is not None:
-            return None, self._byzantine.resolve_stop(kind)
-        fast = self.protocol.compiled_predicates().get(kind)
-        if fast is not None:
-            compiled = self.compiled
-            return None, (lambda counts: fast(counts, compiled))
-        if kind == "silent":
-            return None, self.compiled.counts_silent
-        slow = {
-            "correct": self.protocol.is_correct,
-            "stabilized": self.protocol.has_stabilized,
-        }[kind]
-        return slow, None
-
-    def run_until_correct(self, **kwargs) -> SimulationResult:
-        """Run until the protocol's correctness predicate holds (convergence)."""
-        predicate, counts_predicate = self._resolve_stop("correct")
-        kwargs.setdefault("reason", "correct")
-        return self.run_until(
-            predicate=predicate, counts_predicate=counts_predicate, **kwargs
-        )
-
-    def run_until_stabilized(self, **kwargs) -> SimulationResult:
-        """Run until the protocol's stabilization predicate holds."""
-        predicate, counts_predicate = self._resolve_stop("stabilized")
-        kwargs.setdefault("reason", "stabilized")
-        return self.run_until(
-            predicate=predicate, counts_predicate=counts_predicate, **kwargs
-        )
-
-    def run_until_silent(self, **kwargs) -> SimulationResult:
-        """Run until no applicable table entry can change the configuration."""
-        predicate, counts_predicate = self._resolve_stop("silent")
-        kwargs.setdefault("reason", "silent")
-        return self.run_until(
-            predicate=predicate, counts_predicate=counts_predicate, **kwargs
-        )
 
 
 __all__ = ["CountsSimulation", "DEFAULT_DRIFT_CAP", "active_pair_tables"]

@@ -2,19 +2,18 @@
 
 :class:`RunConfig` is a frozen record of *how* to execute a run -- which
 engine, which stop condition, which seed, which caps, how many worker
-processes -- replacing the thicket of parallel ``engine=``/``stop=``/
-``seed=``/``max_interactions=``/``check_interval=``/``jobs=`` keywords that
-used to be threaded through every layer.  One ``RunConfig`` flows unchanged
-from the CLI (``--engine/--jobs/--seed``) through
+processes, which adversary.  One ``RunConfig`` flows unchanged from the CLI
+(``--engine/--jobs/--seed``) through
 :func:`repro.experiments.harness.run_trials` down to the engine, and its
 fields are stamped into every persisted
-:class:`~repro.experiments.result.ExperimentResult` as provenance.
+:class:`~repro.experiments.result.ExperimentResult` as provenance.  The
+harness functions take it as ``run=RunConfig(...)`` and accept no
+per-option keywords.
 
 :func:`make_simulation` is the single factory that turns ``(protocol,
-config)`` into the right engine instance, and both
-:class:`~repro.engine.simulation.Simulation` and
-:class:`~repro.engine.batch_simulation.BatchSimulation` accept a
-``RunConfig`` in their polymorphic ``run()`` entry point, so callers never
+config)`` into the right engine instance.  All three engines accept a
+``RunConfig`` in their polymorphic ``run()`` entry point and execute it
+through :meth:`repro.engine.core.EngineCore._run_plan`, so callers never
 dispatch on the stop condition by hand.
 """
 
@@ -64,8 +63,9 @@ class RunConfig:
         entry points default it to ``0`` so CLI runs are reproducible.
     max_interactions:
         Interaction cap, or ``None`` for the engine default
-        (``DEFAULT_CAP_CUBIC_FACTOR * n**3``).  Experiments with tighter
-        internal caps apply their own default when this is ``None``.
+        (:func:`repro.engine.core.default_cap`, ``40 * n**3``).  Experiments
+        with tighter internal caps apply their own default when this is
+        ``None``.
     check_interval:
         Interactions between stop-condition checks (``None`` = ``n``).
     jobs:
@@ -80,11 +80,11 @@ class RunConfig:
         ``jobs``).  Compiled-engine results stay bit-identical for every
         value; counts-engine results are deterministic per
         ``(seed, trial_batch)`` but follow the same law (see the module
-        docstring of :mod:`repro.engine.trial_batch`).  Ignored by the loop
-        engine path only in the sense that requesting it there is an error.
+        docstring of :mod:`repro.engine.trial_batch`).  The loop engine has
+        no batched form, so ``trial_batch > 1`` with it is an error.
     faults:
-        Optional :class:`~repro.adversary.plan.FaultPlan` both engines
-        execute mid-run (timed corrupt / reset / reseed bursts).  The stop
+        Optional :class:`~repro.adversary.plan.FaultPlan` every engine
+        executes mid-run (timed corrupt / reset / reseed bursts).  The stop
         condition is evaluated only after the final event, so the result
         measures recovery from the last burst; campaign provenance lands in
         ``SimulationResult.extra`` (see :mod:`repro.adversary.campaign`).

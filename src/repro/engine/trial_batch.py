@@ -66,11 +66,10 @@ this).  Stragglers keep running with no wasted work on finished trials.
 
 Limits
 ------
-* Uniform scheduling only: a :class:`~repro.adversary.schedulers.SchedulerSpec`
-  of kind ``uniform`` is accepted, anything else raises
-  ``NotImplementedError`` (the harness falls back to per-trial execution).
-* Fault plans are per-trial constructs; ``run`` rejects them (harness falls
-  back likewise).
+* Fault plans, non-uniform schedulers and byzantine overlays are per-trial
+  constructs: :func:`unbatchable_reason` names the rule a config breaks,
+  ``run`` raises ``NotImplementedError`` with it, and the harness falls back
+  to per-trial execution with the same reason.
 * One-shot: ``run(config)`` may be called once per instance.
 
 The counts regime
@@ -98,6 +97,7 @@ import numpy as np
 
 from repro.engine.batch_simulation import BatchSimulation, _scatter_first
 from repro.engine.compiled import CompiledProtocol, ProtocolCompiler
+from repro.engine.core import default_cap, resolve_stop
 from repro.engine.counts_simulation import (
     DEFAULT_DRIFT_CAP,
     _HARD_WINDOW_CAP,
@@ -108,7 +108,6 @@ from repro.engine.results import SimulationResult
 from repro.engine.rng import RngLike, make_rng
 from repro.engine.run_config import RunConfig
 from repro.engine.scheduler import draw_uniform_pair_matrix
-from repro.engine.simulation import DEFAULT_CAP_CUBIC_FACTOR
 from repro.telemetry import metrics as _metrics
 
 #: Fixed per-trial pair-buffer length.  Part of the compiled RNG-stream
@@ -139,42 +138,28 @@ _EPOCH_WRAP = 1 << 21
 _STALE_TAG = 1 << 62
 
 
-def _resolve_stop(protocol: PopulationProtocol, compiled: CompiledProtocol, kind: str):
-    """Resolve a stop kind to (predicate, counts_predicate).
+def unbatchable_reason(config: RunConfig) -> Optional[str]:
+    """Why the trial-batched engines cannot honour ``config`` (None if they can).
 
-    Same preference order as the sequential engines: the protocol's
-    ``compiled_predicates()`` fast path; for silence, the table-exact
-    ``counts_silent``; otherwise the decoded configuration predicate.
+    Fault plans with events, non-uniform schedulers and byzantine overlays
+    are per-trial constructs.  The batched engines refuse them with this
+    reason; the harness falls back to per-trial execution (the batched path
+    is an optimization, not a semantic switch) and warns with it, so an
+    ignored ``--trial-batch`` is never silent.
     """
-    fast = protocol.compiled_predicates().get(kind)
-    if fast is not None:
-        return None, (lambda counts: fast(counts, compiled))
-    if kind == "silent":
-        return None, compiled.counts_silent
-    slow = {
-        "correct": protocol.is_correct,
-        "stabilized": protocol.has_stabilized,
-    }[kind]
-    return slow, None
+    if config.faults is not None and config.faults.events:
+        return "fault campaigns run per trial"
+    if config.scheduler is not None and getattr(config.scheduler, "kind", None) != "uniform":
+        return "adversarial schedulers run per trial"
+    if config.byzantine is not None:
+        return "byzantine overlays run per trial"
+    return None
 
 
 def _reject_unbatchable(config: RunConfig) -> None:
-    """Refuse plan features the batched regimes cannot honour."""
-    if config.faults is not None and config.faults.events:
-        raise NotImplementedError(
-            "trial-batched execution does not support fault plans; "
-            "the harness runs fault campaigns per trial"
-        )
-    if config.scheduler is not None and getattr(config.scheduler, "kind", None) != "uniform":
-        raise NotImplementedError(
-            "trial-batched execution supports the uniform scheduler only; "
-            "the harness runs adversarial schedulers per trial"
-        )
-    if getattr(config, "byzantine", None) is not None:
-        raise NotImplementedError(
-            "trial-batched execution does not support byzantine overlays; "
-            "the harness runs byzantine trials one at a time"
-        )
+    reason = unbatchable_reason(config)
+    if reason is not None:
+        raise NotImplementedError(f"trial-batched execution cannot run this plan: {reason}")
 
 
 class TrialBatchSimulation:
@@ -306,8 +291,8 @@ class TrialBatchSimulation:
         """Execute all trials until ``config.stop`` (or the cap) and return
         the per-trial :class:`SimulationResult` records in trial order.
 
-        One-shot: a second call raises.  Fault plans and non-uniform
-        schedulers raise ``NotImplementedError`` (see module docstring).
+        One-shot: a second call raises.  Plans :func:`unbatchable_reason`
+        refuses raise ``NotImplementedError`` (see module docstring).
         """
         if not isinstance(config, RunConfig):
             raise TypeError(f"run() takes a RunConfig, got {type(config).__name__}")
@@ -319,10 +304,10 @@ class TrialBatchSimulation:
         protocol = self.protocol
         compiled = self.compiled
         n = protocol.n
-        predicate, counts_predicate = _resolve_stop(protocol, compiled, config.stop)
+        predicate, counts_predicate = resolve_stop(protocol, compiled, config.stop)
         cap = config.max_interactions
         if cap is None:
-            cap = int(DEFAULT_CAP_CUBIC_FACTOR * n * n * n)
+            cap = default_cap(n)
         check = config.check_interval if config.check_interval is not None else n
         reason = config.stop
 
@@ -581,8 +566,8 @@ class CountsTrialBatchSimulation:
     def run(self, config: RunConfig) -> List[SimulationResult]:
         """Execute all trials until ``config.stop`` (or the cap); trial order.
 
-        One-shot, uniform scheduler only, no fault plans (the harness falls
-        back to per-trial execution for those).
+        One-shot; plans :func:`unbatchable_reason` refuses raise
+        ``NotImplementedError`` (the harness runs those per trial).
         """
         if not isinstance(config, RunConfig):
             raise TypeError(f"run() takes a RunConfig, got {type(config).__name__}")
@@ -594,10 +579,10 @@ class CountsTrialBatchSimulation:
         protocol = self.protocol
         n = protocol.n
         num_states = self.compiled.num_states
-        predicate, counts_predicate = _resolve_stop(protocol, self.compiled, config.stop)
+        predicate, counts_predicate = resolve_stop(protocol, self.compiled, config.stop)
         cap = config.max_interactions
         if cap is None:
-            cap = int(DEFAULT_CAP_CUBIC_FACTOR * n * n * n)
+            cap = default_cap(n)
         check = config.check_interval if config.check_interval is not None else n
         reason = config.stop
 
@@ -728,4 +713,9 @@ class CountsTrialBatchSimulation:
         return results  # type: ignore[return-value]
 
 
-__all__ = ["CountsTrialBatchSimulation", "TRIAL_CHUNK", "TrialBatchSimulation"]
+__all__ = [
+    "CountsTrialBatchSimulation",
+    "TRIAL_CHUNK",
+    "TrialBatchSimulation",
+    "unbatchable_reason",
+]

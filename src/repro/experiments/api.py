@@ -11,52 +11,20 @@ unchanged from the CLI's ``--seed/--engine/--jobs`` flags.  The
 :func:`experiment_runner` decorator adapts a row-producing function to this
 contract: it times the call, stamps provenance, and wraps the rows in an
 :class:`~repro.experiments.result.ExperimentResult`.
-
-Deprecated keyword form
------------------------
-The pre-redesign call style ``run_epidemic(ns=..., trials=..., seed=...,
-jobs=...)`` keeps working for one release: the decorator splits the keywords
-into ``params`` and a ``RunConfig``, emits a :class:`DeprecationWarning`
-(once per runner), and returns the bare row list the old API returned.
 """
 
 from __future__ import annotations
 
 import functools
 import time
-import warnings
-from typing import Callable, Dict, List, Mapping, Optional, Set
+from typing import Callable, Dict, List, Mapping
 
 from repro.engine.run_config import RunConfig
 from repro.experiments.result import ExperimentResult
 
-#: Keywords of the legacy call style that belong to the RunConfig, not to the
-#: experiment parameters.
-RUN_OPTION_KEYS = ("seed", "engine", "jobs", "stop", "max_interactions", "check_interval")
-
-#: Default seed of the legacy keyword form (every old runner declared
-#: ``seed: RngLike = 0``) and of experiment entry points, so experiment runs
-#: are reproducible unless the caller asks for entropy.
+#: Default seed of experiment entry points, so experiment runs are
+#: reproducible unless the caller asks for entropy.
 DEFAULT_EXPERIMENT_SEED = 0
-
-_WARNED: Set[str] = set()
-
-
-def warn_deprecated_once(key: str, message: str, stacklevel: int = 3) -> None:
-    """Emit ``DeprecationWarning`` exactly once per ``key`` per process.
-
-    Shims must warn loudly enough to be seen but not drown a sweep in
-    thousands of identical lines; CI asserts the exactly-once behaviour.
-    """
-    if key in _WARNED:
-        return
-    _WARNED.add(key)
-    warnings.warn(message, DeprecationWarning, stacklevel=stacklevel)
-
-
-def reset_deprecation_warnings() -> None:
-    """Forget which shims have warned (test helper)."""
-    _WARNED.clear()
 
 
 def read_params(params: Mapping, **defaults) -> Dict:
@@ -78,49 +46,20 @@ def read_params(params: Mapping, **defaults) -> Dict:
     return merged
 
 
-def split_legacy_kwargs(legacy: Dict) -> tuple:
-    """Split a legacy keyword dict into ``(params, RunConfig)``."""
-    params = dict(legacy)
-    config = RunConfig(
-        seed=params.pop("seed", DEFAULT_EXPERIMENT_SEED),
-        engine=params.pop("engine", "loop"),
-        jobs=params.pop("jobs", 1),
-        stop=params.pop("stop", "stabilized"),
-        max_interactions=params.pop("max_interactions", None),
-        check_interval=params.pop("check_interval", None),
-    )
-    return params, config
-
-
 def experiment_runner(
     identifier: str,
 ) -> Callable[[Callable[[Mapping, RunConfig], List[Dict]]], Callable]:
     """Adapt a ``(params, run) -> rows`` function to the uniform contract.
 
-    The decorated callable accepts either the new positional form
-    ``runner(params, run)`` (returning :class:`ExperimentResult`) or the
-    deprecated keyword form (returning the bare row list).  The registry
-    identifier is attached as ``runner.experiment_identifier`` so the
-    explicit contract replaces signature introspection everywhere.
+    The decorated callable is ``runner(params, run)`` and returns an
+    :class:`ExperimentResult`.  The registry identifier is attached as
+    ``runner.experiment_identifier`` so the explicit contract replaces
+    signature introspection everywhere.
     """
 
     def decorate(fn: Callable[[Mapping, RunConfig], List[Dict]]) -> Callable:
         @functools.wraps(fn)
-        def wrapper(params=None, run=None, **legacy):
-            if legacy:
-                if params is not None or run is not None:
-                    raise TypeError(
-                        f"{fn.__name__} takes (params, run: RunConfig); do not mix "
-                        "positional arguments with legacy keywords"
-                    )
-                warn_deprecated_once(
-                    identifier,
-                    f"{fn.__name__}(**kwargs) is deprecated; call "
-                    f"{fn.__name__}(params, run=RunConfig(...)) instead "
-                    "(the keyword form will be removed next release)",
-                )
-                legacy_params, config = split_legacy_kwargs(legacy)
-                return fn(legacy_params, config)
+        def wrapper(params=None, run=None):
             if params is not None and not isinstance(params, Mapping):
                 raise TypeError(
                     f"{fn.__name__} params must be a mapping of experiment "
@@ -159,12 +98,4 @@ def experiment_runner(
     return decorate
 
 
-__all__ = [
-    "DEFAULT_EXPERIMENT_SEED",
-    "RUN_OPTION_KEYS",
-    "experiment_runner",
-    "read_params",
-    "reset_deprecation_warnings",
-    "split_legacy_kwargs",
-    "warn_deprecated_once",
-]
+__all__ = ["DEFAULT_EXPERIMENT_SEED", "experiment_runner", "read_params"]

@@ -17,10 +17,6 @@ stream of trial ``i`` depends only on ``(seed, i)``), which
 are forked, so closures (the lambdas experiments pass as factories) and a
 pre-compiled transition table are inherited rather than pickled; on platforms
 without ``fork`` the harness silently runs sequentially.
-
-The pre-redesign keyword style (``stop=``/``engine=``/``jobs=``/``seed=``
-threaded as parallel keywords) keeps working for one release through
-deprecation shims; see ``docs/ARCHITECTURE.md`` for the migration note.
 """
 
 from __future__ import annotations
@@ -44,12 +40,9 @@ from repro.engine.run_config import ENGINES, STOPS, RunConfig, make_simulation
 from repro.engine.trial_batch import (
     CountsTrialBatchSimulation,
     TrialBatchSimulation,
+    unbatchable_reason,
 )
-from repro.experiments.api import (
-    DEFAULT_EXPERIMENT_SEED,
-    RUN_OPTION_KEYS,
-    warn_deprecated_once,
-)
+from repro.experiments.api import DEFAULT_EXPERIMENT_SEED
 from repro.experiments.result import ExperimentResult
 from repro.telemetry import metrics as _metrics
 from repro.telemetry import tracing as _tracing
@@ -103,41 +96,13 @@ def trial_memo(memo):
         _TRIAL_MEMO = previous
 
 
-def _coerce_run_config(run, legacy: Dict, caller: str) -> RunConfig:
-    """Resolve the new ``run=RunConfig`` form or the deprecated keyword form.
-
-    ``run`` is either a :class:`RunConfig` (new style), ``None``, or -- for
-    backward compatibility -- a seed passed in the old third positional slot.
-    """
-    if isinstance(run, RunConfig):
-        if legacy:
-            raise TypeError(
-                f"{caller}: pass execution options on the RunConfig, "
-                f"not as keywords {sorted(legacy)}"
-            )
-        return run
-    unknown = set(legacy) - set(RUN_OPTION_KEYS)
-    if unknown:
-        raise TypeError(f"{caller}() got unexpected keyword arguments {sorted(unknown)}")
-    if run is not None:
-        if "seed" in legacy:
-            raise TypeError(f"{caller}: seed passed both positionally and as a keyword")
-        legacy = dict(legacy, seed=run)
-    if legacy:
-        warn_deprecated_once(
-            f"harness.{caller}",
-            f"{caller}({', '.join(sorted(legacy))}=...) keywords are deprecated; "
-            f"pass run=RunConfig(...) instead (removed next release)",
-            stacklevel=4,
-        )
-    return RunConfig(
-        seed=legacy.get("seed"),
-        stop=legacy.get("stop", "stabilized"),
-        engine=legacy.get("engine", "loop"),
-        jobs=legacy.get("jobs", 1),
-        max_interactions=legacy.get("max_interactions"),
-        check_interval=legacy.get("check_interval"),
-    )
+def _coerce_run_config(run, caller: str) -> RunConfig:
+    """``run`` itself, or the default :class:`RunConfig` when it is ``None``."""
+    if run is None:
+        return RunConfig()
+    if not isinstance(run, RunConfig):
+        raise TypeError(f"{caller}: run must be a RunConfig, got {type(run).__name__}")
+    return run
 
 
 @dataclass
@@ -158,24 +123,6 @@ class ExperimentSpec:
     description: str = ""
     quick_params: Dict = field(default_factory=dict)
     full_params: Dict = field(default_factory=dict)
-
-    @property
-    def quick_kwargs(self) -> Dict:
-        """Deprecated alias of :attr:`quick_params`."""
-        warn_deprecated_once(
-            "ExperimentSpec.quick_kwargs",
-            "ExperimentSpec.quick_kwargs is deprecated; use quick_params",
-        )
-        return self.quick_params
-
-    @property
-    def full_kwargs(self) -> Dict:
-        """Deprecated alias of :attr:`full_params`."""
-        warn_deprecated_once(
-            "ExperimentSpec.full_kwargs",
-            "ExperimentSpec.full_kwargs is deprecated; use full_params",
-        )
-        return self.full_params
 
     def run(
         self,
@@ -311,26 +258,6 @@ def _pool_trial(index: int) -> SimulationResult:
     )
 
 
-def _unbatchable_reason(config: RunConfig) -> Optional[str]:
-    """Why the trial-batched engines cannot honour this config (None if they can).
-
-    Fault plans with events, non-uniform schedulers, and byzantine overlays
-    are per-trial constructs; the harness falls back to per-trial execution
-    for them (the batched path is an optimization, not a semantic switch) and
-    :func:`run_trials` warns once per run so an ignored ``--trial-batch`` is
-    never silent.
-    """
-    if config.faults is not None and config.faults.events:
-        return "fault campaigns run per trial"
-    if config.scheduler is not None and getattr(config.scheduler, "kind", None) != "uniform":
-        return "adversarial schedulers run per trial"
-    if config.byzantine is not None:
-        return "byzantine overlays run per trial"
-    if config.engine not in ("compiled", "counts"):
-        return f"engine {config.engine!r} has no trial-batched form"
-    return None
-
-
 def _execute_trial_batch(
     protocol_factory: Callable[[], PopulationProtocol],
     configuration_factory: Optional[ConfigurationFactory],
@@ -430,7 +357,6 @@ def run_trials(
     configuration_factory: Optional[ConfigurationFactory] = None,
     counts_factory: Optional[CountsFactory] = None,
     on_trial_done: Optional[TrialObserver] = None,
-    **legacy,
 ) -> List[SimulationResult]:
     """Run ``trials`` independent simulations, optionally across processes.
 
@@ -464,10 +390,11 @@ def run_trials(
     and advances each batch as one trial-batched engine instance
     (:mod:`repro.engine.trial_batch`); with ``jobs > 1`` each worker process
     runs whole batches.  Compiled-engine per-trial results are bit-identical
-    for every ``trial_batch`` x ``jobs`` composition; fault plans with
-    events and non-uniform schedulers fall back to per-trial execution.
+    for every ``trial_batch`` x ``jobs`` composition; plans that
+    :func:`~repro.engine.trial_batch.unbatchable_reason` refuses fall back
+    to per-trial execution with a ``RuntimeWarning`` naming the reason.
     """
-    config = _coerce_run_config(run, legacy, caller="run_trials")
+    config = _coerce_run_config(run, caller="run_trials")
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
     if counts_factory is not None:
@@ -485,7 +412,7 @@ def run_trials(
         if config.engine in ("compiled", "counts")
         else None
     )
-    fallback_reason = _unbatchable_reason(config)
+    fallback_reason = unbatchable_reason(config)
     batched = config.trial_batch > 1 and fallback_reason is None
     if config.trial_batch > 1 and fallback_reason is not None:
         warnings.warn(
@@ -636,7 +563,6 @@ def measure_parallel_times(
     configuration_factory: Optional[ConfigurationFactory] = None,
     label: str = "",
     on_trial_done: Optional[TrialObserver] = None,
-    **legacy,
 ) -> TrialStatistics:
     """Run ``trials`` independent simulations and collect stabilization times.
 
@@ -652,7 +578,7 @@ def measure_parallel_times(
     compiled once and the tables are shared across trials, so the factory
     must build identically parameterized protocols every call.
     """
-    config = _coerce_run_config(run, legacy, caller="measure_parallel_times")
+    config = _coerce_run_config(run, caller="measure_parallel_times")
     results = run_trials(
         protocol_factory=protocol_factory,
         trials=trials,
@@ -675,7 +601,6 @@ def sweep_parallel_time(
     max_interactions_factory: Optional[Callable[[int], int]] = None,
     label: str = "",
     on_trial_done: Optional[TrialObserver] = None,
-    **legacy,
 ) -> List[TrialStatistics]:
     """Measure stabilization time across a sweep of population sizes.
 
@@ -685,7 +610,7 @@ def sweep_parallel_time(
     :func:`measure_parallel_times`, so a multi-trial/multi-``n`` sweep
     saturates ``jobs`` cores with either engine.
     """
-    config = _coerce_run_config(run, legacy, caller="sweep_parallel_time")
+    config = _coerce_run_config(run, caller="sweep_parallel_time")
     results: List[TrialStatistics] = []
     seeds = spawn_seed_sequences(config.seed, len(ns))
     for n, n_seed in zip(ns, seeds):

@@ -350,6 +350,22 @@ class TestAnnotation:
         assert sum(result.extra[BYZANTINE_STATE_COUNTS_KEY]) == spec.count(12)
 
 
+class TestInstallGuards:
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_overlay_installs_once_and_before_any_interaction(self, engine):
+        config = RunConfig(
+            engine=engine, seed=0, byzantine=ByzantineSpec(fraction=0.25), max_interactions=100
+        )
+        simulation = make_simulation(TwoWayEpidemicProtocol(12), config)
+        simulation.run(config)
+        with pytest.raises(RuntimeError, match="already installed"):
+            simulation.run(config)
+        late = make_simulation(TwoWayEpidemicProtocol(12), config)
+        late.run(5)
+        with pytest.raises(RuntimeError, match="before any interaction"):
+            late.run(config)
+
+
 # -- outcome-distribution equivalence ------------------------------------------------
 
 

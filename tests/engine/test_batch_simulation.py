@@ -7,7 +7,6 @@ from repro.core.propagate_reset import ResetWaveProtocol
 from repro.core.silent_n_state import SilentNStateSSR
 from repro.engine.batch_simulation import BatchSimulation
 from repro.engine.compiled import CompilationError, ProtocolCompiler
-from repro.engine.simulation import DEFAULT_CAP_CUBIC_FACTOR
 from repro.processes.epidemic import EpidemicState, TwoWayEpidemicProtocol
 from repro.processes.roll_call import RollCallProtocol
 
@@ -138,15 +137,6 @@ class TestRunUntil:
         assert not result.stopped
         assert result.reason == "cap"
         assert result.interactions == 100
-
-    def test_default_cap_matches_loop_engine(self):
-        n = 3
-        protocol = TwoWayEpidemicProtocol(n)
-        simulation = BatchSimulation(protocol, rng=0)
-        result = simulation.run_until(
-            predicate=lambda configuration: False, check_interval=10_000
-        )
-        assert result.interactions == int(DEFAULT_CAP_CUBIC_FACTOR * n**3)
 
     def test_exactly_one_predicate_required(self):
         simulation = epidemic_simulation(8)

@@ -166,7 +166,7 @@ class TestFailFastValidation:
             byzantine=ByzantineSpec(fraction=0.25),
             trial_batch=2,
         )
-        with pytest.raises(NotImplementedError, match="one at a time"):
+        with pytest.raises(NotImplementedError, match="byzantine overlays run per trial"):
             simulation.run(config)
 
     def test_byzantine_dict_round_trip(self):

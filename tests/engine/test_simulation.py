@@ -1,15 +1,12 @@
-"""Unit tests for the Simulation loop and run_trials."""
+"""Unit tests for the Simulation loop and the engine core's stop contract."""
 
 import pytest
 
 from repro.core.fratricide import FratricideLeaderElection
 from repro.core.silent_n_state import SilentNStateSSR
-from repro.engine.simulation import (
-    DEFAULT_CAP_CUBIC_FACTOR,
-    DEFAULT_CAP_QUADRATIC_FACTOR,
-    Simulation,
-    run_trials,
-)
+from repro.engine.core import DEFAULT_CAP_CUBIC_FACTOR
+from repro.engine.run_config import ENGINES, RunConfig, make_simulation
+from repro.engine.simulation import Simulation
 
 
 class TestStepping:
@@ -91,20 +88,40 @@ class TestStoppingConditions:
         assert result.stopped
         assert result.interactions >= 1
 
-    def test_default_cap_is_cubic_in_n(self):
-        """Regression: the default cap is factor * n**3 (Theta(n^2) parallel
-        time for the quadratic-time baseline), and the constant's name must
-        say so -- the old DEFAULT_CAP_QUADRATIC_FACTOR name promised n**2."""
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_default_cap_is_cubic_in_n(self, engine):
+        """Regression: on every engine the default cap is factor * n**3
+        (Theta(n^2) parallel time for the quadratic-time baseline)."""
         n = 3
         protocol = FratricideLeaderElection(n)
         configuration = protocol.all_followers_configuration()  # never correct
-        simulation = Simulation(protocol, configuration=configuration, rng=0)
+        simulation = make_simulation(
+            protocol, RunConfig(engine=engine, seed=0), configuration=configuration
+        )
         result = simulation.run_until_correct(check_interval=10_000)
         assert not result.stopped and result.reason == "cap"
         assert result.interactions == int(DEFAULT_CAP_CUBIC_FACTOR * n**3)
 
-    def test_deprecated_cap_alias_preserved(self):
-        assert DEFAULT_CAP_QUADRATIC_FACTOR == DEFAULT_CAP_CUBIC_FACTOR
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_on_check_fires_where_the_run_continues(self, engine):
+        """on_check fires at every check boundary the run continues past,
+        and never after the final check (cap or stop)."""
+        protocol = FratricideLeaderElection(8)
+        configuration = protocol.all_followers_configuration()  # never correct
+        simulation = make_simulation(
+            protocol, RunConfig(engine=engine, seed=0), configuration=configuration
+        )
+        seen = []
+        simulation.on_check = lambda live: seen.append(live.interactions)
+        result = simulation.run_until_correct(max_interactions=50, check_interval=16)
+        assert result.reason == "cap" and result.interactions == 50
+        assert seen == [0, 16, 32, 48]
+
+        ranked = make_simulation(SilentNStateSSR(5), RunConfig(engine=engine, seed=0))
+        ranked.on_check = lambda live: seen.append("after stop")
+        result = ranked.run_until_stabilized()  # the clean start is already ranked
+        assert result.stopped and result.interactions == 0
+        assert seen == [0, 16, 32, 48]
 
     def test_result_engine_field(self):
         result = Simulation(FratricideLeaderElection(8), rng=0).run_until_correct()
@@ -123,28 +140,3 @@ class TestReproducibility:
             for seed in range(5)
         }
         assert len(results) > 1
-
-
-class TestRunTrials:
-    def test_returns_statistics_with_requested_trials(self):
-        stats = run_trials(lambda: FratricideLeaderElection(8), trials=5, seed=0, stop="correct")
-        assert stats.trials == 5 and stats.n == 8
-        assert stats.mean > 0
-
-    def test_configuration_factory_is_used(self):
-        stats = run_trials(
-            lambda: SilentNStateSSR(6),
-            trials=3,
-            seed=0,
-            configuration_factory=lambda protocol, rng: protocol.worst_case_configuration(),
-            stop="stabilized",
-        )
-        assert all(value > 0 for value in stats.values)
-
-    def test_invalid_stop_rejected(self):
-        with pytest.raises(ValueError):
-            run_trials(lambda: FratricideLeaderElection(8), trials=1, stop="bogus")
-
-    def test_invalid_trials_rejected(self):
-        with pytest.raises(ValueError):
-            run_trials(lambda: FratricideLeaderElection(8), trials=0)

@@ -144,14 +144,6 @@ class TestParamValidation:
         with pytest.raises(TypeError, match="trails"):
             EXPERIMENTS["epidemic"].run("quick", trails=5)
 
-    def test_unknown_legacy_keyword_raises(self):
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            with pytest.raises(TypeError, match="trails"):
-                run_epidemic(ns=(32,), trails=5)
-
 
 class TestCrossProcessReproducibility:
     """Same seed, same rows across interpreter runs (no salted str hashing)."""

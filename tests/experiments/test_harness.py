@@ -47,13 +47,15 @@ class TestMeasureParallelTimes:
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
             measure_parallel_times(lambda: FratricideLeaderElection(8), trials=0)
+        with pytest.raises(TypeError, match="run must be a RunConfig"):
+            measure_parallel_times(lambda: FratricideLeaderElection(8), 1, 3)
         with pytest.raises(ValueError):
             RunConfig(stop="bogus")
         with pytest.raises(ValueError):
             RunConfig(engine="turbo")
 
     def test_runconfig_plus_legacy_keywords_is_an_error(self):
-        with pytest.raises(TypeError, match="RunConfig"):
+        with pytest.raises(TypeError, match="unexpected keyword argument 'stop'"):
             measure_parallel_times(
                 lambda: FratricideLeaderElection(8),
                 trials=1,
