@@ -22,6 +22,10 @@ of a million agents and beyond.
    for randomized protocols, from the explicit branch list returned by
    :meth:`~repro.engine.protocol.PopulationProtocol.transition_branches`.
 
+``compile()`` memoizes the last finished table, keyed by the compiler
+settings, the protocol's class and ``pickle.dumps(protocol)``, so a sweep
+that recompiles one protocol builds its table once; tables are read-only.
+
 The result is a :class:`CompiledProtocol`: dense ``int32`` result tables for
 the initiator and responder, a per-entry *branch-probability channel*
 (cumulative probabilities, used to sample among randomized branches), and a
@@ -36,9 +40,13 @@ per-interaction loop.
 
 from __future__ import annotations
 
+import copy
 import itertools
+import pickle
 import sys
-from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
+import threading
+import time
+from typing import Callable, Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -46,10 +54,49 @@ from repro.engine.configuration import Configuration
 from repro.engine.protocol import PopulationProtocol
 from repro.engine.rng import make_rng
 from repro.engine.state import AgentState
+from repro.telemetry import metrics as _metrics
+
+#: The memo: ``(key, table)`` for the table :meth:`ProtocolCompiler.compile`
+#: built last, or ``None``.  One slot suffices because every registered
+#: experiment and stress sweep compiles its keys one after another, never
+#: alternating between two, and it bounds what a long-lived process retains.
+_last_table: Optional[Tuple[tuple, "CompiledProtocol"]] = None
+_last_table_lock = threading.Lock()
+
+
+def clear_compile_memo() -> None:
+    """Forget the memoized table.
+
+    The memo key covers a protocol's instance content and class, not class-
+    or module-level state, so code that patches those between compiles (tests
+    do) must clear the memo.
+    """
+    global _last_table
+    with _last_table_lock:
+        _last_table = None
 
 
 class CompilationError(RuntimeError):
     """Raised when a protocol cannot be compiled to a transition table."""
+
+
+class _ProbeGenerators:
+    """One generator per probe seed, rewound to its seeded start for each probe.
+
+    Rewinding (``bit_generator.state = start``) gives exactly the draws a
+    fresh ``make_rng(seed)`` gives, at a fraction of the cost.  Each
+    ``compile()`` call builds its own: ``repro serve`` compiles on worker
+    threads of one process.
+    """
+
+    def __init__(self, seeds: Sequence[int]):
+        self._generators = [make_rng(seed) for seed in seeds]
+        self._starts = [generator.bit_generator.state for generator in self._generators]
+
+    def __iter__(self) -> Iterator[np.random.Generator]:
+        for generator, start in zip(self._generators, self._starts):
+            generator.bit_generator.state = start
+            yield generator
 
 
 def probe_deterministic_branch(
@@ -66,11 +113,20 @@ def probe_deterministic_branch(
     which raises :class:`CompilationError`.  Shared by the compiler's generic
     path and by product protocols deriving their factors' branches.
     """
+    return _probe_branch(protocol, initiator, responder, _ProbeGenerators(probe_seeds))
+
+
+def _probe_branch(
+    protocol: PopulationProtocol,
+    initiator: AgentState,
+    responder: AgentState,
+    probes: _ProbeGenerators,
+) -> List[Tuple[float, AgentState, AgentState]]:
     outcomes = []
-    for seed in probe_seeds:
+    for generator in probes:
         probe_initiator = initiator.clone()
         probe_responder = responder.clone()
-        protocol.transition(probe_initiator, probe_responder, make_rng(seed))
+        protocol.transition(probe_initiator, probe_responder, generator)
         outcomes.append((probe_initiator, probe_responder))
     signatures = {
         (protocol.state_signature(a), protocol.state_signature(b)) for a, b in outcomes
@@ -145,6 +201,14 @@ class CompiledProtocol:
             else (result_responder, result_initiator)
         )
         self.packed_result = low.astype(np.int64) | (high.astype(np.int64) << 32)
+
+    def bound_to(self, protocol: PopulationProtocol) -> "CompiledProtocol":
+        """This table with ``protocol`` as its source, sharing every array and exemplar."""
+        if protocol is self.protocol:
+            return self
+        twin = copy.copy(self)
+        twin.protocol = protocol
+        return twin
 
     # -- basic properties ----------------------------------------------------------
 
@@ -264,10 +328,73 @@ class ProtocolCompiler:
         are compiled by composing their components' tables instead of probing
         every composed transition; everything else goes through the generic
         closure over ``enumerate_states()``.
+
+        The last finished table is memoized under the exact key
+        ``(max_states, probe_seeds, probability_tolerance, type(protocol),
+        pickle.dumps(protocol))``; a hit returns it bound to ``protocol`` (see
+        :meth:`CompiledProtocol.bound_to`) without calling ``transition()``.
+        A protocol that does not pickle is compiled on every call, and a
+        :class:`CompilationError` is never cached.  Every returned table's
+        arrays are read-only, since hits share them.
         """
+        started = time.perf_counter()
+        try:
+            return self._memoized(protocol)
+        finally:
+            if _metrics._PROFILING:
+                _metrics.record_stage_seconds(
+                    "compiler", "compile", time.perf_counter() - started
+                )
+
+    # -- internals ------------------------------------------------------------------
+
+    def _memoized(self, protocol: PopulationProtocol) -> CompiledProtocol:
+        """The memo lookup; the lock is never held while a table is built."""
+        global _last_table
+        try:
+            content = pickle.dumps(protocol)
+        except (pickle.PicklingError, TypeError, AttributeError):
+            # Lambdas, local classes, locks, generators: no exact key exists.
+            _metrics.record_compile("unkeyed")
+            return self._build(protocol)
+        key = (
+            self.max_states,
+            self.probe_seeds,
+            self.probability_tolerance,
+            type(protocol),
+            content,
+        )
+        with _last_table_lock:
+            last = _last_table
+        if last is not None and last[0] == key:
+            _metrics.record_compile("memo_hit")
+            return last[1].bound_to(protocol)
+        compiled = self._build(protocol)
+        with _last_table_lock:
+            _last_table = (key, compiled)
+        _metrics.record_compile("built")
+        return compiled
+
+    def _build(self, protocol: PopulationProtocol) -> CompiledProtocol:
+        """Compile ``protocol`` from scratch; the result's arrays are read-only."""
         factors = protocol.compiled_factors()
         if factors is not None:
-            return self._compose(protocol, factors)
+            compiled = self._compose(protocol, factors)
+        else:
+            compiled = self._close(protocol)
+        for array in (
+            compiled.result_initiator,
+            compiled.result_responder,
+            compiled.branch_cumprob,
+            compiled.changes,
+            compiled.packed_result,
+        ):
+            if array is not None:
+                array.setflags(write=False)
+        return compiled
+
+    def _close(self, protocol: PopulationProtocol) -> CompiledProtocol:
+        """The generic path: close ``enumerate_states()`` under the transitions."""
         seeds = protocol.enumerate_states()
         if seeds is None:
             raise CompilationError(
@@ -299,7 +426,14 @@ class ProtocolCompiler:
             raise CompilationError(f"{protocol.name}: enumerate_states() returned no states")
 
         # Close the state set under the transition relation, recording the
-        # branch list of every ordered pair as we go.
+        # branch list of every ordered pair as we go.  Without an override of
+        # transition_branches() the hook always answers None, so it is skipped
+        # along with the two clones it would be handed.
+        probes = _ProbeGenerators(self.probe_seeds)
+        explicit_hook = (
+            getattr(protocol.transition_branches, "__func__", None)
+            is not PopulationProtocol.transition_branches
+        )
         table: Dict[Tuple[int, int], List[Tuple[float, int, int]]] = {}
         closed = 0
         while closed < len(states):
@@ -308,12 +442,12 @@ class ProtocolCompiler:
                 for j in range(boundary):
                     if i < closed and j < closed:
                         continue
-                    table[(i, j)] = self._branches(protocol, states[i], states[j], intern)
+                    table[(i, j)] = self._branches(
+                        protocol, states[i], states[j], intern, probes, explicit_hook
+                    )
             closed = boundary
 
-        return self._build(protocol, states, table)
-
-    # -- internals ------------------------------------------------------------------
+        return self._tabulate(protocol, states, table)
 
     def _branches(
         self,
@@ -321,9 +455,15 @@ class ProtocolCompiler:
         initiator: AgentState,
         responder: AgentState,
         intern: Callable[[AgentState], int],
+        probes: _ProbeGenerators,
+        explicit_hook: bool,
     ) -> List[Tuple[float, int, int]]:
         """Branch list ``[(probability, initiator', responder')]`` for one pair."""
-        explicit = protocol.transition_branches(initiator.clone(), responder.clone())
+        explicit = (
+            protocol.transition_branches(initiator.clone(), responder.clone())
+            if explicit_hook
+            else None
+        )
         if explicit is not None:
             if not explicit:
                 raise CompilationError(
@@ -346,12 +486,12 @@ class ProtocolCompiler:
                 )
             return encoded
 
-        [(probability, result_initiator, result_responder)] = probe_deterministic_branch(
-            protocol, initiator, responder, self.probe_seeds
+        [(probability, result_initiator, result_responder)] = _probe_branch(
+            protocol, initiator, responder, probes
         )
         return [(probability, intern(result_initiator), intern(result_responder))]
 
-    def _build(
+    def _tabulate(
         self,
         protocol: PopulationProtocol,
         states: List[AgentState],
@@ -426,7 +566,7 @@ class ProtocolCompiler:
                     f"size {factor.n}, expected {protocol.n}"
                 )
             try:
-                compiled_factors.append(self.compile(factor))
+                compiled_factors.append(self._build(factor))
             except CompilationError as error:
                 raise CompilationError(
                     f"{protocol.name}: component {factor.name} is not "
@@ -540,5 +680,6 @@ __all__ = [
     "CompilationError",
     "CompiledProtocol",
     "ProtocolCompiler",
+    "clear_compile_memo",
     "probe_deterministic_branch",
 ]

@@ -469,11 +469,24 @@ def record_trial(engine: str, interactions: int) -> None:
     ).inc(interactions)
 
 
+def record_compile(outcome: str) -> None:
+    """One compile request: ``built``, ``memo_hit`` or ``unkeyed`` (never memoized)."""
+    if not _ENABLED:
+        return
+    _REGISTRY.counter(
+        "repro_compiles_total",
+        "Protocol compiles, by outcome: built, memo_hit, or unkeyed "
+        "(the protocol did not pickle, so it is compiled every time).",
+        outcome=outcome,
+    ).inc()
+
+
 def record_stage_seconds(engine: str, stage: str, seconds: float) -> None:
     """Per-stage wall time (``--profile`` only; callers guard on _PROFILING)."""
     _REGISTRY.counter(
         "repro_stage_seconds_total",
-        "Wall seconds per engine stage (scheduler draw, table apply, stop check).",
+        "Wall seconds per engine stage (compile, scheduler draw, table apply, "
+        "stop check).",
         engine=engine,
         stage=stage,
     ).inc(seconds)
@@ -554,6 +567,7 @@ __all__ = [
     "record_byzantine_install",
     "record_cache_hit",
     "record_checkpoint_seconds",
+    "record_compile",
     "record_drift_cap",
     "record_fault_injection",
     "record_halving",

@@ -8,6 +8,15 @@ import pytest
 from repro.core.optimal_silent import OptimalSilentSSR
 from repro.core.silent_n_state import SilentNStateSSR
 from repro.core.sublinear import SublinearTimeSSR
+from repro.engine.compiled import clear_compile_memo
+
+
+@pytest.fixture(autouse=True)
+def _fresh_compile_memo():
+    """Start every test with an empty compile memo, so test order cannot matter."""
+    clear_compile_memo()
+    yield
+    clear_compile_memo()
 
 
 @pytest.fixture

@@ -54,6 +54,12 @@ class TestRunTrace:
         assert "stage breakdown" in output
         assert "table_apply" in output and "stop_check" in output
 
+    def test_profile_reports_compile_stage(self, capsys):
+        assert main(FAST_RUN + ["--engine", "compiled", "--profile"]) == 0
+        output = capsys.readouterr().out
+        stage_rows = output.split("stage breakdown", 1)[1].splitlines()
+        assert any(row.split()[:2] == ["compiler", "compile"] for row in stage_rows if row)
+
     def test_plain_run_leaves_telemetry_off(self, capsys):
         assert main(FAST_RUN) == 0
         assert not metrics.enabled()

@@ -1,5 +1,7 @@
 """Tests for the experiment registry and the CLI."""
 
+import re
+
 import pytest
 
 from repro.cli import main
@@ -85,6 +87,13 @@ class TestCli:
         assert output.startswith("error: unknown experiment 'does_not_exist'")
         assert "known:" in output
 
+    def test_uncompilable_table_is_a_clean_error(self, capsys):
+        assert main(["run", "optimal_silent", "--engine", "compiled"]) == 2
+        output = capsys.readouterr().out
+        assert output.startswith("error: optimal_silent: ")
+        assert "max_states" in output and "try --engine loop" in output
+        assert "Traceback" not in output
+
     def test_run_forwards_jobs_flag(self, capsys):
         from repro.experiments.harness import ExperimentSpec
 
@@ -129,8 +138,9 @@ class TestCliSeedRegression:
     """--seed makes experiment runs reproducible from the CLI."""
 
     def _capture(self, capsys, argv):
+        """The printed run with its wall-clock seconds blanked (they vary run to run)."""
         assert main(argv) == 0
-        return capsys.readouterr().out
+        return re.sub(r"(-- \d+ rows in )[0-9.]+s --", r"\1?s --", capsys.readouterr().out)
 
     def test_same_seed_same_table(self, capsys):
         first = self._capture(
