@@ -115,17 +115,35 @@ def active_pair_tables(compiled: CompiledProtocol) -> Dict[str, np.ndarray]:
         "x": x,
         "y": y,
         "diagonal": (x == y).astype(np.float64),
-        "rows": rows,
         "num_branches": tables["probability"].shape[1],
+        # Output state of each side per flat (pair, branch), for dense_pair_terms.
+        "outputs": (tables["initiator"][rows].ravel(), tables["responder"][rows].ravel()),
     }
-    if support["num_branches"] == 1:
-        support["out_initiator"] = tables["initiator"][rows, 0].astype(np.int64)
-        support["out_responder"] = tables["responder"][rows, 0].astype(np.int64)
-    else:
+    if support["num_branches"] > 1:
         support["branch_pvals"] = tables["probability"][rows]
-        support["branch_initiator"] = tables["initiator"][rows].astype(np.int64)
-        support["branch_responder"] = tables["responder"][rows].astype(np.int64)
     return support
+
+
+def pair_flows(shape, first, second, weights: np.ndarray) -> np.ndarray:
+    """Add ``weights`` at flat ``row * S + state`` indices ``first``, then ``second``.
+
+    One 1-D ``np.add.at`` onto zeros of ``shape``, every first-side term in input
+    order before any second-side term: bit for bit one 2-D ``np.add.at`` per side
+    (floats sum in the same order, ints stay int64).  Terms are nonzero; adding
+    ±0.0 to a partial sum is exact, so dropping zeros changes no cell."""
+    out = np.zeros(shape, dtype=weights.dtype)
+    np.add.at(out.reshape(-1), np.concatenate((first, second)), np.concatenate((weights, weights)))
+    return out
+
+
+def dense_pair_terms(weights: np.ndarray, first, second, width: int):
+    """:func:`pair_flows` terms of the nonzero entries of a dense ``(rows, ...)``
+    array, in C order: the row is the leading index, and ``first`` / ``second``
+    give each side's state by flat position over the trailing axes."""
+    table = weights.reshape(len(weights), -1)  # a view of the engine arrays, C or F order
+    row, rest = np.divmod((table != 0).reshape(-1).nonzero()[0], table.shape[1])
+    base = row * width
+    return base + first[rest], base + second[rest], table[row, rest]
 
 
 class CountsSimulation(EngineCore):
@@ -479,25 +497,28 @@ class CountsSimulation(EngineCore):
         """Sampling tables for one set of occupied cells.
 
         Everything here depends only on *which* (class, state) cells are
-        occupied -- the active cell-pair support, its branch-table rows and
-        outputs -- not on the counts themselves, so it survives across
-        windows until a cell empties or fills (the ``key`` check).
+        occupied -- the active cell-pair support, its branch-table rows, its
+        cells (``flat_*``) and output class rows (``base_*``) as flat
+        :func:`pair_flows` indices -- not on the counts themselves, so it
+        survives across windows until a cell empties or fills (``key``).
         """
         active = self._changes[states[:, None], states]
         x, y = np.nonzero(active)
-        rows = states[x].astype(np.int64) * self.compiled.num_states + states[y]
+        width = self.compiled.num_states
+        rows = states[x].astype(np.int64) * width + states[y]
+        base_x, base_y = classes[x] * width, classes[y] * width
         structure = {
             "key": key,
             "x": x, "y": y,
             "diagonal": (x == y).astype(np.float64),
             "cell_weights": self._class_weights[classes],
-            "class_x": classes[x], "state_x": states[x],
-            "class_y": classes[y], "state_y": states[y],
+            "base_x": base_x, "flat_x": base_x + states[x],
+            "base_y": base_y, "flat_y": base_y + states[y],
             "rows": rows,
         }
         if self._num_branches == 1:
-            structure["out_initiator"] = self._branch_initiator[rows, 0].astype(np.int64)
-            structure["out_responder"] = self._branch_responder[rows, 0].astype(np.int64)
+            structure["out_x"] = base_x + self._branch_initiator[rows, 0]
+            structure["out_y"] = base_y + self._branch_responder[rows, 0]
         else:
             structure["branch_pvals"] = self._branch_probability[rows]
         return structure
@@ -610,20 +631,17 @@ class CountsSimulation(EngineCore):
         pair_counts = rng.multinomial(hits, law["pvals"])
         drawn = np.nonzero(pair_counts)[0]
         event_counts = pair_counts[drawn].astype(np.int64, copy=False)
-        class_x, state_x = law["class_x"][drawn], law["state_x"][drawn]
-        class_y, state_y = law["class_y"][drawn], law["state_y"][drawn]
         if self._num_branches == 1:
-            event_rows = np.arange(len(drawn))
-            produced = event_counts
-            out_initiator = law["out_initiator"][drawn]
-            out_responder = law["out_responder"][drawn]
+            pairs, produced = drawn, event_counts
+            out_x, out_y = law["out_x"][drawn], law["out_y"][drawn]
         else:
             branch_counts = rng.multinomial(event_counts, law["branch_pvals"][drawn])
             event_rows, branch = np.nonzero(branch_counts)
             produced = branch_counts[event_rows, branch]
-            rows = law["rows"][drawn][event_rows]
-            out_initiator = self._branch_initiator[rows, branch].astype(np.int64)
-            out_responder = self._branch_responder[rows, branch].astype(np.int64)
+            pairs = drawn[event_rows]
+            rows = law["rows"][pairs]
+            out_x = law["base_x"][pairs] + self._branch_initiator[rows, branch]
+            out_y = law["base_y"][pairs] + self._branch_responder[rows, branch]
 
         # Matching semantics: the drawn events must be realizable on *distinct*
         # agents -- no cell may supply more initiators+responders than it holds.
@@ -631,22 +649,18 @@ class CountsSimulation(EngineCore):
         # every single-interaction invariant intact: a window is then a batch
         # of disjoint interactions, each of which preserves the invariant.
         # Final non-negativity follows, since additions only help.
-        consumed = np.zeros_like(self._matrix)
-        np.add.at(consumed, (class_x, state_x), event_counts)
-        np.add.at(consumed, (class_y, state_y), event_counts)
+        shape = self._matrix.shape
+        consumed = pair_flows(shape, law["flat_x"][drawn], law["flat_y"][drawn], event_counts)
         if (consumed > self._matrix).any():
             return False
-        delta = -consumed
-        np.add.at(delta, (class_x[event_rows], out_initiator), produced)
-        np.add.at(delta, (class_y[event_rows], out_responder), produced)
         before = self._matrix
-        self._matrix = before + delta
+        self._matrix = before + pair_flows(shape, out_x, out_y, produced) - consumed
         self._law_cache = None
         if self.window_log is not None:
-            events = np.column_stack([
-                class_x[event_rows], state_x[event_rows],
-                class_y[event_rows], state_y[event_rows],
-                out_initiator, out_responder, produced,
+            cell_x, cell_y = law["flat_x"][pairs], law["flat_y"][pairs]
+            events = np.column_stack([  # (class, state) = divmod(flat index, S)
+                *np.divmod(cell_x, shape[1]), *np.divmod(cell_y, shape[1]),
+                out_x % shape[1], out_y % shape[1], produced,
             ]).astype(np.int64)
             self._log_window(window, events, before=before)
         return True

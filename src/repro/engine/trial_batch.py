@@ -91,6 +91,7 @@ halving only the overdrawn trials' windows.
 
 from __future__ import annotations
 
+import time
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -102,6 +103,8 @@ from repro.engine.counts_simulation import (
     DEFAULT_DRIFT_CAP,
     _HARD_WINDOW_CAP,
     active_pair_tables,
+    dense_pair_terms,
+    pair_flows,
 )
 from repro.engine.protocol import PopulationProtocol
 from repro.engine.results import SimulationResult
@@ -557,11 +560,16 @@ class CountsTrialBatchSimulation:
     # -- execution -------------------------------------------------------------------
 
     def _stopped(self, trial: int, predicate, counts_predicate) -> bool:
+        marker = time.perf_counter() if _metrics._PROFILING else 0.0
         counts = self._matrix[trial]
         if counts_predicate is not None:
-            return bool(counts_predicate(counts))
-        indices = np.repeat(np.arange(len(counts)), counts).astype(np.int32)
-        return bool(predicate(self.compiled.decode_configuration(indices)))
+            hit = bool(counts_predicate(counts))
+        else:
+            indices = np.repeat(np.arange(len(counts)), counts).astype(np.int32)
+            hit = bool(predicate(self.compiled.decode_configuration(indices)))
+        if _metrics._PROFILING:
+            _metrics.record_stage_seconds("counts", "stop_check", time.perf_counter() - marker)
+        return hit
 
     def run(self, config: RunConfig) -> List[SimulationResult]:
         """Execute all trials until ``config.stop`` (or the cap); trial order.
@@ -612,8 +620,13 @@ class CountsTrialBatchSimulation:
         diagonal = support["diagonal"]
         denominator = float(n) * float(n - 1)
         rng = self.rng
+        # --profile stages, split as in CountsSimulation._advance: the law and
+        # window sizing are "scheduler_draw"; draws, retries and the update
+        # are "table_apply"; _stopped times "stop_check".
+        profile = _metrics._PROFILING
 
         while live_mask.any():
+            marker = time.perf_counter() if profile else 0.0
             live = np.nonzero(live_mask)[0]
             count = len(live)
             cells = self._matrix[live].astype(np.float64)
@@ -627,10 +640,7 @@ class CountsTrialBatchSimulation:
 
             # Drift-capped window per trial (same rule as CountsSimulation):
             # expected removals from any state stay below drift_cap * count.
-            removal = np.zeros((count, num_states))
-            rows_index = np.arange(count)[:, None]
-            np.add.at(removal, (rows_index, x[None, :]), probs)
-            np.add.at(removal, (rows_index, y[None, :]), probs)
+            removal = pair_flows(cells.shape, *dense_pair_terms(probs, x, y, num_states))
             with np.errstate(divide="ignore", invalid="ignore"):
                 allowance = np.where(removal > 0.0, cells / removal, np.inf)
             drift_window = self._drift_cap * allowance.min(axis=1)
@@ -646,6 +656,10 @@ class CountsTrialBatchSimulation:
             windows = np.where(total_active > 0.0, np.minimum(windows, capped), windows)
             if self._max_window is not None:
                 windows = np.minimum(windows, self._max_window)
+            if profile:
+                now = time.perf_counter()
+                _metrics.record_stage_seconds("counts", "scheduler_draw", now - marker)
+                marker = now
 
             events = np.zeros((count, len(x)), dtype=np.int64)
             consumed = np.zeros((count, num_states), dtype=np.int64)
@@ -656,10 +670,9 @@ class CountsTrialBatchSimulation:
                     windows[sample], np.minimum(total_active[sample], 1.0)
                 )
                 drawn = rng.multinomial(hits, pvals)
-                used = np.zeros((len(sample), num_states), dtype=np.int64)
-                local = np.arange(len(sample))[:, None]
-                np.add.at(used, (local, x[None, :]), drawn)
-                np.add.at(used, (local, y[None, :]), drawn)
+                used = pair_flows(
+                    (len(sample), num_states), *dense_pair_terms(drawn, x, y, num_states)
+                )
                 # Matching feasibility per trial: no state may supply more
                 # initiators+responders than it holds.  Only the overdrawn
                 # trials halve and resample; feasible trials keep their draw.
@@ -674,26 +687,18 @@ class CountsTrialBatchSimulation:
                 )
                 sample = sample[overdrawn]
 
-            delta = -consumed
-            rows_index = np.arange(count)[:, None]
-            if support["num_branches"] == 1:
-                np.add.at(delta, (rows_index, support["out_initiator"][None, :]), events)
-                np.add.at(delta, (rows_index, support["out_responder"][None, :]), events)
-            else:
-                branch_events = rng.multinomial(events, support["branch_pvals"])
-                deep_index = np.arange(count)[:, None, None]
-                np.add.at(
-                    delta,
-                    (deep_index, support["branch_initiator"][None, :, :]),
-                    branch_events,
-                )
-                np.add.at(
-                    delta,
-                    (deep_index, support["branch_responder"][None, :, :]),
-                    branch_events,
-                )
-            self._matrix[live] += delta
+            if support["num_branches"] > 1:
+                # Split each pair's events over its branches: (count, K, B).
+                events = rng.multinomial(events, support["branch_pvals"])
+            produced = pair_flows(
+                cells.shape, *dense_pair_terms(events, *support["outputs"], num_states)
+            )
+            self._matrix[live] += produced - consumed
             self._applied[live] += windows
+            if profile:
+                _metrics.record_stage_seconds(
+                    "counts", "table_apply", time.perf_counter() - marker
+                )
             if _metrics._ENABLED:
                 _metrics.record_window("counts", int(windows.sum()))
 

@@ -5,7 +5,8 @@ API
 * ``POST /jobs`` -- submit ``{"experiment", "scale", "params",
   "run_config"}``; returns the content-derived job id (identical
   submissions dedup to the same id).  400 with ``{"error": ...}`` on
-  invalid payloads.
+  invalid payloads or a malformed ``Content-Length``; 413 on a body over
+  :data:`MAX_REQUEST_BYTES`.
 * ``GET /jobs`` -- all job records.
 * ``GET /jobs/<id>`` -- one record plus live progress (finished trials and
   in-flight checkpoints from the job's checkpoint directory).  404 on
@@ -46,6 +47,10 @@ from repro.serve.queue import JobQueue, UnknownJobError
 from repro.serve.worker import TrialMemo, Worker, estimate_total_trials
 from repro.telemetry import metrics as _metrics
 from repro.telemetry import tracing as _tracing
+
+#: Largest ``POST /jobs`` body read (1 MiB); a larger ``Content-Length`` gets
+#: 413 before any of the body is read.  Job payloads are a few hundred bytes.
+MAX_REQUEST_BYTES = 1 << 20
 
 
 class ReproServer:
@@ -99,7 +104,15 @@ class ReproServer:
                 if self.path.rstrip("/") != "/jobs":
                     self._send_json(404, {"error": f"no such endpoint {self.path!r}"})
                     return
-                length = int(self.headers.get("Content-Length") or 0)
+                header = (self.headers.get("Content-Length") or "0").strip()
+                length = int(header) if header.isascii() and header.isdigit() else -1
+                if length < 0:
+                    self._send_json(400, {"error": f"invalid Content-Length {header!r}"})
+                    return
+                if length > MAX_REQUEST_BYTES:
+                    limit = f"over the {MAX_REQUEST_BYTES}-byte limit"
+                    self._send_json(413, {"error": f"request body of {length} bytes is {limit}"})
+                    return
                 try:
                     payload = json.loads(self.rfile.read(length) or b"{}")
                 except json.JSONDecodeError as error:
@@ -354,4 +367,4 @@ def http_get_bytes(url: str, timeout: float = 30.0) -> Tuple[int, bytes]:
         return error.code, error.read()
 
 
-__all__ = ["ReproServer", "http_get_bytes", "http_json"]
+__all__ = ["MAX_REQUEST_BYTES", "ReproServer", "http_get_bytes", "http_json"]

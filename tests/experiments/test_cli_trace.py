@@ -60,6 +60,15 @@ class TestRunTrace:
         stage_rows = output.split("stage breakdown", 1)[1].splitlines()
         assert any(row.split()[:2] == ["compiler", "compile"] for row in stage_rows if row)
 
+    @pytest.mark.parametrize("stage", ["scheduler_draw", "table_apply", "stop_check"])
+    def test_profile_reports_batched_counts_stages(self, stage, capsys):
+        # counts_table1 runs every trial of an n through CountsTrialBatchSimulation.
+        run = ["run", "counts_table1", "--scale", "quick", "--seed", "1", "--profile"]
+        assert main(run) == 0
+        output = capsys.readouterr().out
+        stage_rows = output.split("stage breakdown", 1)[1].splitlines()
+        assert any(row.split()[:2] == ["counts", stage] for row in stage_rows if row)
+
     def test_plain_run_leaves_telemetry_off(self, capsys):
         assert main(FAST_RUN) == 0
         assert not metrics.enabled()

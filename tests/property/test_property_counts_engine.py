@@ -12,11 +12,15 @@ has two halves that property testing pins down better than example tests:
   (Lemma 2.3), fratricide leader conservation, and bounded-epidemic level
   monotonicity must all hold across *every* window boundary, not just at
   convergence.
+
+Both counts engines scatter their per-window flows through
+:func:`~repro.engine.counts_simulation.pair_flows`; the last test pins it,
+byte for byte, to the two sequential ``np.add.at`` calls it replaced.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -30,7 +34,7 @@ from repro.core.silent_n_state import (
 )
 from repro.engine.compiled import ProtocolCompiler
 from repro.engine.configuration import Configuration
-from repro.engine.counts_simulation import CountsSimulation
+from repro.engine.counts_simulation import CountsSimulation, dense_pair_terms, pair_flows
 from repro.engine.rng import make_rng
 from repro.engine.protocol import PopulationProtocol
 from repro.engine.state import AgentState
@@ -336,3 +340,90 @@ class TestWindowSamplerStatistics:
         assert result.pvalue > 1e-9, (
             f"event counts diverge from the frozen law (p={result.pvalue:.2e})"
         )
+
+
+# -- the shared scatter: bit-identical to sequential np.add.at ----------------------------
+
+#: Floats of mixed magnitude (and both zeros), so repeated cells round
+#: differently under any other summation order.
+MIXED_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.tuples(
+        st.floats(min_value=-1.0, max_value=1.0, allow_nan=False), st.integers(-60, 60)
+    ).map(lambda pair: pair[0] * 2.0 ** pair[1]),
+)
+#: Integers past 2**53 (where float64 rounds), small enough that no cell overflows.
+BIG_INTS = st.one_of(st.just(0), st.integers(min_value=-(2**56), max_value=2**56))
+
+
+@st.composite
+def scatter_cases(draw):
+    """``(form, rows, states, first, second, weights)``: each side a
+    ``(row, state)`` index pair that broadcasts to ``weights``, zeros included.
+
+    ``per-trial`` is the per-trial engine's 1-D term list, with separate row
+    indices for the two sides (its ``class_x`` / ``class_y``); ``batched``
+    and ``branched`` are the batched engine's dense ``(rows, pairs)`` and
+    ``(rows, pairs, branches)`` arrays, whose row is the leading index.
+    """
+    rows = draw(st.integers(min_value=1, max_value=4))
+    states = draw(st.integers(min_value=1, max_value=4))
+    elements, dtype = draw(
+        st.sampled_from([(MIXED_FLOATS, np.float64), (BIG_INTS, np.int64)])
+    )
+    form = draw(st.sampled_from(["per-trial", "batched", "branched"]))
+    terms = draw(st.integers(min_value=0, max_value=12))
+    trailing = (terms, draw(st.integers(1, 3))) if form == "branched" else (terms,)
+
+    def indices(bound, shape):
+        size = int(np.prod(shape))
+        values = draw(st.lists(st.integers(0, bound - 1), min_size=size, max_size=size))
+        return np.array(values, dtype=np.int64).reshape(shape)
+
+    if form == "per-trial":
+        weight_shape = trailing
+        row_first, row_second = indices(rows, trailing), indices(rows, trailing)
+    else:
+        weight_shape = (rows,) + trailing
+        row_first = row_second = np.arange(rows).reshape((rows,) + (1,) * len(trailing))
+    count = int(np.prod(weight_shape))
+    weights = np.array(
+        draw(st.lists(elements, min_size=count, max_size=count)), dtype=dtype
+    ).reshape(weight_shape)
+    first = (row_first, indices(states, trailing))
+    second = (row_second, indices(states, trailing))
+    return form, rows, states, first, second, weights
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=scatter_cases())
+@example(  # first side then second: 1e16 + 1 + 1 rounds to 1e16, 1 + 1 + 1e16 does not
+    case=("batched", 1, 2, (np.zeros((1, 1), np.int64), np.array([0, 1, 1])),
+          (np.zeros((1, 1), np.int64), np.array([1, 0, 0])), np.array([[1e16, 1.0, 1.0]])),
+)
+@example(  # separate row indices per side, and an int64 weight float64 cannot hold
+    case=("per-trial", 2, 2, (np.array([0, 1]), np.array([1, 1])),
+          (np.array([1, 1]), np.array([0, 1])), np.array([2**53 + 1, 3], dtype=np.int64)),
+)
+@example(  # empty input
+    case=("batched", 3, 2, (np.arange(3)[:, None], np.zeros(0, np.int64)),
+          (np.arange(3)[:, None], np.zeros(0, np.int64)), np.zeros((3, 0))),
+)
+def test_pair_flows_equals_sequential_add_at(case):
+    """The shared scatter equals ``np.add.at`` on the first side, then on the
+    second, over the full dense inputs zeros included -- byte for byte, for
+    floats (per-cell summation order) and for int64 past 2**53.  Dense
+    inputs go through ``dense_pair_terms`` as the batched engine's do; the
+    per-trial engine's 1-D terms go straight in as flat indices."""
+    form, rows, states, first, second, weights = case
+    expected = np.zeros((rows, states), dtype=weights.dtype)
+    np.add.at(expected, first, weights)
+    np.add.at(expected, second, weights)
+    if form == "per-trial":
+        flat = [row * states + state for row, state in (first, second)]
+        flows = pair_flows((rows, states), flat[0], flat[1], weights)
+    else:
+        terms = dense_pair_terms(weights, first[1].ravel(), second[1].ravel(), states)
+        flows = pair_flows((rows, states), *terms)
+    assert flows.dtype == expected.dtype and flows.shape == expected.shape
+    assert np.array_equal(flows.view(np.uint8), expected.view(np.uint8))

@@ -1,5 +1,7 @@
 """HTTP API: submit/status/artifact flows and their failure statuses."""
 
+import http.client
+import json
 import threading
 import time
 
@@ -18,6 +20,20 @@ def _payload(seed=5, trials=2):
         {"ns": [64], "trials": trials},
         RunConfig(seed=seed, engine="counts"),
     )
+
+
+def _post_with_length(server, content_length, body):
+    """POST /jobs with a raw Content-Length header; ``(status, parsed body)``."""
+    connection = http.client.HTTPConnection("127.0.0.1", server.port, timeout=30)
+    try:
+        connection.putrequest("POST", "/jobs")
+        connection.putheader("Content-Type", "application/json")
+        connection.putheader("Content-Length", content_length)
+        connection.endheaders(body)
+        response = connection.getresponse()
+        return response.status, json.loads(response.read())
+    finally:
+        connection.close()
 
 
 def _wait_done(url, job_id, timeout=120):
@@ -140,6 +156,20 @@ class TestFailureStatuses:
         except urllib.error.HTTPError as error:
             status = error.code
         assert status == 400
+
+    @pytest.mark.parametrize("content_length", ["abc", "-5"])
+    def test_malformed_content_length_is_400(self, server, content_length):
+        status, body = _post_with_length(server, content_length, b"{}")
+        assert status == 400
+        assert "Content-Length" in body["error"]
+        assert http_json("GET", f"{server.url}/healthz")[0] == 200
+
+    def test_oversized_content_length_is_413_without_reading(self, server):
+        # The body is 2 bytes, far short of the header: reading it would block.
+        status, body = _post_with_length(server, "999999999", b"{}")
+        assert status == 413
+        assert "limit" in body["error"]
+        assert http_json("GET", f"{server.url}/healthz")[0] == 200
 
     def test_artifact_before_done_is_409(self, idle_server):
         url = f"http://127.0.0.1:{idle_server.port}"
