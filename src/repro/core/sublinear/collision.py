@@ -113,20 +113,16 @@ class HistoryTreeCollisionDetector(CollisionDetector):
         # Line 5: agree on a fresh sync value for this interaction.
         sync = int(rng.integers(1, self.sync_values + 1))
 
-        # Lines 6-10: exchange (pre-interaction) trees, truncated to depth H - 1.
-        a_snapshot = a.tree.copy(self.depth - 1)
-        b_snapshot = b.tree.copy(self.depth - 1)
+        # Lines 6-14, one walk per tree: each agent receives the other's
+        # pre-interaction tree already truncated, pruned and aged; line 11
+        # drops the new edge when the partner carries the owner's name.
+        a_snapshot = a.tree.snapshot(self.depth - 1, b.name)
+        b_snapshot = b.tree.snapshot(self.depth - 1, a.name)
+        timer = max(self.timer_max - 1, 0)
         for owner, partner_snapshot, partner in ((a, b_snapshot, b), (b, a_snapshot, a)):
-            owner.tree.remove_depth_one_child(partner.name)
-            owner.tree.attach(partner_snapshot, sync, self.timer_max)
-
-        # Lines 11-12: keep the trees simply labelled.
-        for owner in (a, b):
-            owner.tree.remove_subtrees_named(owner.name)
-
-        # Lines 13-14: age every edge.
-        for owner in (a, b):
-            owner.tree.decrement_timers()
+            owner.tree.prune_and_age(owner.name, partner.name)
+            if partner_snapshot.name != owner.name:
+                owner.tree.attach(partner_snapshot, sync, timer)
         return False
 
     def state_bits(self, n: int) -> float:

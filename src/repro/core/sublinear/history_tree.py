@@ -91,24 +91,43 @@ class TreeNode:
 
     # -- mutations used by Protocol 7 ---------------------------------------------------
 
-    def remove_depth_one_child(self, name: str) -> None:
-        """Line 7-8: remove any depth-1 subtree whose root is labelled ``name``."""
-        self.edges = [edge for edge in self.edges if edge.child.name != name]
-
-    def remove_subtrees_named(self, name: str) -> None:
-        """Line 11-12: remove every subtree (at any depth) rooted at a node labelled ``name``."""
-        self.edges = [edge for edge in self.edges if edge.child.name != name]
-        for edge in self.edges:
-            edge.child.remove_subtrees_named(name)
-
     def attach(self, subtree: "TreeNode", sync: int, timer: int) -> None:
         """Line 9-10: attach ``subtree`` under the root via a new edge."""
         self.edges.append(TreeEdge(sync, timer, subtree))
 
-    def decrement_timers(self) -> None:
-        """Line 13-14: decrement every edge timer (floored at 0)."""
-        for edge in self.iter_edges():
-            edge.timer = max(edge.timer - 1, 0)
+    def snapshot(self, max_depth: int, receiver: str) -> "TreeNode":
+        """Lines 6 and 11-14 on a copy sent to ``receiver``, in one walk.
+
+        Like :meth:`copy`, but without subtrees named ``receiver`` below the
+        root and with every timer already aged by one (floored at 0).
+        """
+        node = TreeNode(self.name)
+        if max_depth > 0:
+            node.edges = [
+                TreeEdge(
+                    edge.sync,
+                    edge.timer - 1 if edge.timer > 0 else 0,
+                    edge.child.snapshot(max_depth - 1, receiver),
+                )
+                for edge in self.edges
+                if edge.child.name != receiver
+            ]
+        return node
+
+    def prune_and_age(self, owner: str, partner: Optional[str] = None) -> None:
+        """Lines 7-8 and 11-14 in one walk over the edges the tree already has:
+        drop the depth-1 subtree named ``partner`` and every subtree named
+        ``owner``, and age each kept timer by one (floored at 0)."""
+        kept = []
+        for edge in self.edges:
+            child = edge.child
+            if child.name == owner or child.name == partner:
+                continue
+            edge.timer = edge.timer - 1 if edge.timer > 0 else 0
+            if child.edges:
+                child.prune_and_age(owner)
+            kept.append(edge)
+        self.edges = kept
 
     def zero_all_timers(self) -> None:
         """Set every edge timer to 0 (used to model fully stale adversarial data)."""
@@ -137,7 +156,8 @@ class TreeNode:
             current = prefix + [edge]
             if edge.child.name == target_name:
                 paths.append(current)
-            edge.child._collect_live_paths(target_name, current, paths)
+            if edge.child.edges:
+                edge.child._collect_live_paths(target_name, current, paths)
 
     def max_live_timer(self) -> int:
         """Largest edge timer in the tree (0 if the tree has no edges)."""

@@ -256,7 +256,7 @@ class SublinearTimeSSR(PopulationProtocol):
         # Some agent is Resetting: run Propagate-Reset, then handle names.
         self.reset_machinery.interact(a, b, rng)
         for agent in (a, b):
-            if not self.reset_machinery.is_resetting(agent):
+            if agent.role != RESETTING:
                 continue
             if agent.resetcount > 0:
                 agent.name = ""  # clear names while propagating the reset signal

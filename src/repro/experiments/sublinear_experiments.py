@@ -30,6 +30,15 @@ from repro.experiments.api import experiment_runner, read_params
 PRACTICAL_RMAX_MULTIPLIER = 3.0
 
 
+def _require_loop_engine(run: RunConfig) -> None:
+    """History trees have no enumerable state space, so no table engine runs them."""
+    if run.engine != "loop":
+        raise ValueError(
+            f"Sublinear-Time-SSR runs only on the loop engine, not {run.engine!r}; "
+            "try --engine loop"
+        )
+
+
 def _make_protocol(
     n: int,
     depth: Optional[int],
@@ -50,6 +59,7 @@ def run_sublinear_tradeoff(params: Mapping, run: RunConfig) -> List[Dict]:
 
     ``None`` in ``depths`` selects ``H = ceil(log2 n)`` (the O(log n) regime).
     """
+    _require_loop_engine(run)
     opts = read_params(
         params,
         n=24,
@@ -105,6 +115,7 @@ def run_sublinear_tradeoff(params: Mapping, run: RunConfig) -> List[Dict]:
 @experiment_runner("sublinear_scaling")
 def run_sublinear_scaling(params: Mapping, run: RunConfig) -> List[Dict]:
     """E9 (companion): stabilization time vs ``n`` at a fixed depth ``H``."""
+    _require_loop_engine(run)
     opts = read_params(
         params, ns=(8, 16, 32), depth=1, trials=8,
         rmax_multiplier=PRACTICAL_RMAX_MULTIPLIER,
@@ -151,6 +162,7 @@ def run_safety(params: Mapping, run: RunConfig) -> List[Dict]:
     where a bounded number of resets is allowed but the run must end
     stabilized again.
     """
+    _require_loop_engine(run)
     opts = read_params(
         params, n=16, depth=2, horizon_factor=30.0, trials=5,
         rmax_multiplier=PRACTICAL_RMAX_MULTIPLIER,

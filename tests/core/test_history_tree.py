@@ -3,6 +3,11 @@
 import pytest
 
 from repro.core.sublinear.history_tree import TreeEdge, TreeNode, check_path_consistency
+from tests.property.test_property_history_tree import (
+    decrement_timers,
+    remove_depth_one_child,
+    remove_subtrees_named,
+)
 
 
 def chain_tree(names, syncs, timers=None):
@@ -51,27 +56,67 @@ class TestBasics:
 
 
 class TestMutations:
+    """Protocol 7's mutators: the line-by-line reference, then the one-walk forms."""
+
     def test_remove_depth_one_child(self):
         tree = TreeNode.singleton("a")
         tree.attach(TreeNode.singleton("b"), sync=1, timer=1)
         tree.attach(TreeNode.singleton("c"), sync=2, timer=1)
-        tree.remove_depth_one_child("b")
+        remove_depth_one_child(tree, "b")
         assert [edge.child.name for edge in tree.edges] == ["c"]
 
     def test_remove_depth_one_child_keeps_deeper_nodes(self):
         tree = chain_tree(["a", "b", "c"], [1, 2])
-        tree.remove_depth_one_child("c")  # c is at depth 2, must survive
+        remove_depth_one_child(tree, "c")  # c is at depth 2, must survive
         assert tree.node_count() == 3
 
     def test_remove_subtrees_named_removes_at_any_depth(self):
         tree = chain_tree(["a", "b", "c", "d"], [1, 2, 3])
-        tree.remove_subtrees_named("c")
+        remove_subtrees_named(tree, "c")
         assert tree.node_count() == 2  # a -> b only
 
     def test_decrement_timers_floors_at_zero(self):
         tree = chain_tree(["a", "b", "c"], [1, 2], timers=[1, 0])
-        tree.decrement_timers()
+        decrement_timers(tree)
         assert [edge.timer for edge in tree.iter_edges()] == [0, 0]
+
+    def test_prune_and_age_removes_depth_one_partner(self):
+        tree = TreeNode.singleton("a")
+        tree.attach(TreeNode.singleton("b"), sync=1, timer=1)
+        tree.attach(TreeNode.singleton("c"), sync=2, timer=1)
+        tree.prune_and_age("a", "b")
+        assert [edge.child.name for edge in tree.edges] == ["c"]
+
+    def test_prune_and_age_keeps_deeper_partner_nodes(self):
+        tree = chain_tree(["a", "b", "c"], [1, 2])
+        tree.prune_and_age("a", "c")  # c is at depth 2, must survive
+        assert tree.node_count() == 3
+
+    def test_prune_and_age_removes_owner_subtrees_at_any_depth(self):
+        tree = chain_tree(["a", "b", "c", "d"], [1, 2, 3])
+        tree.prune_and_age("c")
+        assert tree.node_count() == 2  # a -> b only
+
+    def test_prune_and_age_floors_timers_at_zero(self):
+        tree = chain_tree(["a", "b", "c"], [1, 2], timers=[1, 0])
+        tree.prune_and_age("a")
+        assert [edge.timer for edge in tree.iter_edges()] == [0, 0]
+
+    def test_snapshot_truncates_prunes_and_ages(self):
+        tree = chain_tree(["a", "b", "c", "d"], [1, 2, 3], timers=[3, 0, 3])
+        snapshot = tree.snapshot(2, "z")
+        assert [(edge.sync, edge.timer) for edge in snapshot.iter_edges()] == [(1, 2), (2, 0)]
+        assert tree.snapshot(2, "c").node_count() == 2  # a -> b only
+        assert tree.snapshot(0, "z").node_count() == 1
+        assert [edge.timer for edge in tree.iter_edges()] == [3, 0, 3]  # source untouched
+
+    def test_snapshot_shares_no_nodes(self):
+        tree = chain_tree(["a", "b", "c"], [1, 2])
+        snapshot = tree.snapshot(2, "z")
+        assert snapshot.depth() == 2
+        tree_nodes = {id(tree)} | {id(edge.child) for edge in tree.iter_edges()}
+        assert id(snapshot) not in tree_nodes
+        assert all(id(edge.child) not in tree_nodes for edge in snapshot.iter_edges())
 
     def test_zero_all_timers(self):
         tree = chain_tree(["a", "b", "c"], [1, 2])

@@ -94,6 +94,28 @@ class TestCli:
         assert "max_states" in output and "try --engine loop" in output
         assert "Traceback" not in output
 
+    @pytest.mark.parametrize("engine", ["compiled", "counts"])
+    @pytest.mark.parametrize(
+        "identifier", ["sublinear_tradeoff", "sublinear_scaling", "history_tree_safety"]
+    )
+    def test_loop_only_experiment_rejects_table_engine(
+        self, identifier, engine, capsys, monkeypatch, tmp_path
+    ):
+        """History trees run only on the loop engine: refuse before simulating."""
+        from repro.experiments import sublinear_experiments
+
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("a Simulation was constructed")
+
+        monkeypatch.setattr(sublinear_experiments, "Simulation", no_simulation)
+        argv = ["run", identifier, "--engine", engine, "--scale", "quick", "--seed", "1"]
+        assert main(argv + ["--output", str(tmp_path)]) == 2
+        output = capsys.readouterr().out
+        assert output.startswith(f"error: {identifier}: ")
+        assert f"loop engine, not {engine!r}" in output and "try --engine loop" in output
+        assert "Traceback" not in output
+        assert list(tmp_path.iterdir()) == []
+
     def test_run_forwards_jobs_flag(self, capsys):
         from repro.experiments.harness import ExperimentSpec
 
