@@ -44,7 +44,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.engine.compiled import CompiledProtocol, ProtocolCompiler
+from repro.engine.compiled import CompiledProtocol, ProtocolCompiler, table_for
 from repro.engine.configuration import Configuration
 from repro.engine.core import EngineCore
 from repro.engine.protocol import PopulationProtocol
@@ -69,6 +69,10 @@ def _last_write_wins() -> bool:
 
 
 _LAST_WRITE_WINS = _last_write_wins()
+
+#: Upper bound on the number of pairs drawn per vectorized window.  Window
+#: sizes shape the random stream, so checkpoints record it.
+MAX_WINDOW = 1 << 16
 
 
 def _scatter_first(
@@ -117,8 +121,6 @@ class BatchSimulation(EngineCore):
         such parameters identical.
     compiler:
         Compiler to use when ``compiled`` is not given.
-    max_window:
-        Upper bound on the number of pairs drawn per vectorized window.
     """
 
     ENGINE = "compiled"
@@ -131,20 +133,13 @@ class BatchSimulation(EngineCore):
         rng: RngLike = None,
         compiled: Optional[CompiledProtocol] = None,
         compiler: Optional[ProtocolCompiler] = None,
-        max_window: int = 1 << 16,
         scheduler: Optional[PairScheduler] = None,
     ):
         if configuration is not None and indices is not None:
             raise ValueError("pass either configuration or indices, not both")
-        if max_window < 4:
-            raise ValueError(f"max_window must be at least 4, got {max_window}")
         self.protocol = protocol
         self.rng = make_rng(rng)
-        if compiled is None:
-            compiled = (compiler or ProtocolCompiler()).compile(protocol)
-        else:
-            self._check_compiled_compatible(compiled, protocol)
-        self.compiled = compiled
+        self.compiled = compiled = table_for(protocol, compiled, compiler)
 
         n = protocol.n
         if indices is not None:
@@ -174,7 +169,6 @@ class BatchSimulation(EngineCore):
             scheduler if scheduler is not None else UniformPairScheduler(n, rng=self.rng)
         )
         self.interactions = 0
-        self._max_window = int(max_window)
         self._window_ema = 512.0
         self._active_fraction = 1.0
         # Per-agent scratch used by the conflict scans: the window position of
@@ -183,40 +177,13 @@ class BatchSimulation(EngineCore):
         self._first_active = np.zeros(n, dtype=np.int64)
         self._active_epoch = np.zeros(n, dtype=np.int64)
         self._epoch = 0
-        self._pair_positions = np.arange(self._max_window, dtype=np.int64)
-        self._slot_positions = np.arange(2 * self._max_window, dtype=np.int64) >> 1
+        self._pair_positions = np.arange(MAX_WINDOW, dtype=np.int64)
+        self._slot_positions = np.arange(2 * MAX_WINDOW, dtype=np.int64) >> 1
         self._counts: Optional[np.ndarray] = None
 
     # perfbench's tracer wraps run_until per engine class through
     # ``vars(cls)``, so it is bound here rather than only inherited.
     run_until = EngineCore.run_until
-
-    @staticmethod
-    def _check_compiled_compatible(
-        compiled: CompiledProtocol, protocol: PopulationProtocol
-    ) -> None:
-        """Reject a compiled table that was built for different dynamics.
-
-        Compares protocol type, population size, and the enumerated state
-        space, which catches parameter mismatches that reshape the table
-        (e.g. differing ``R_max``).  Parameters that alter transition
-        outcomes without changing the state list cannot be detected here.
-        """
-        source = compiled.protocol
-        if source is protocol:
-            return
-        if type(source) is not type(protocol) or source.n != protocol.n:
-            raise ValueError(
-                f"compiled table was built for {source!r}, not {protocol!r}"
-            )
-        ours = [protocol.state_signature(s) for s in protocol.enumerate_states() or []]
-        theirs = [source.state_signature(s) for s in source.enumerate_states() or []]
-        if ours != theirs:
-            raise ValueError(
-                f"compiled table was built for {source!r}, whose enumerated "
-                f"state space differs from {protocol!r} -- check protocol "
-                "parameters"
-            )
 
     # -- views ----------------------------------------------------------------------
 
@@ -281,7 +248,7 @@ class BatchSimulation(EngineCore):
             # first conflict, so stay close to the expected segment length.
             scale = 6.0 if dense else 1.5
             window = int(
-                min(max(64.0, scale * self._window_ema), self._max_window, remaining)
+                min(max(64.0, scale * self._window_ema), MAX_WINDOW, remaining)
             )
             # Sparse windows discard drawn-but-unapplied tails, so
             # time-inhomogeneous schedulers (epoch partition) re-align their
@@ -606,7 +573,7 @@ class BatchSimulation(EngineCore):
             "indices": self.encode_state_vector(self._indices),
             "window_ema": float(self._window_ema),
             "active_fraction": float(self._active_fraction),
-            "max_window": int(self._max_window),
+            "max_window": MAX_WINDOW,
             "bit_generator": self.rng.bit_generator.state,
         }
 
@@ -623,14 +590,15 @@ class BatchSimulation(EngineCore):
             int(indices.min()) < 0 or int(indices.max()) >= self.compiled.num_states
         ):
             raise ValueError("checkpoint state indices out of range for the compiled table")
+        if payload["max_window"] != MAX_WINDOW:
+            raise ValueError(
+                f"checkpoint max_window {payload['max_window']!r} is not the "
+                f"engine's MAX_WINDOW {MAX_WINDOW}"
+            )
         self._indices = indices.astype(np.int32, copy=True)
         self.interactions = int(payload["interactions"])
         self._window_ema = float(payload["window_ema"])
         self._active_fraction = float(payload["active_fraction"])
-        if int(payload["max_window"]) != self._max_window:
-            self._max_window = int(payload["max_window"])
-            self._pair_positions = np.arange(self._max_window, dtype=np.int64)
-            self._slot_positions = np.arange(2 * self._max_window, dtype=np.int64) >> 1
         self.rng.bit_generator.state = generator_state
         self._counts = None
         self._epoch = 0
@@ -638,4 +606,4 @@ class BatchSimulation(EngineCore):
         self._active_epoch.fill(0)
 
 
-__all__ = ["BatchSimulation"]
+__all__ = ["BatchSimulation", "MAX_WINDOW"]

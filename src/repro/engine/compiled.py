@@ -613,6 +613,36 @@ class ProtocolCompiler:
         )
 
 
+def table_for(
+    protocol: PopulationProtocol,
+    compiled: Optional[CompiledProtocol] = None,
+    compiler: Optional[ProtocolCompiler] = None,
+) -> CompiledProtocol:
+    """The table an engine runs ``protocol`` on: a fresh compile, or ``compiled``.
+
+    A given table must come from the same protocol type, population size and
+    enumerated state space, which catches parameter mismatches that reshape
+    the table (e.g. differing ``R_max``); parameters that alter transition
+    outcomes without changing the state list cannot be detected here.
+    """
+    if compiled is None:
+        return (compiler or ProtocolCompiler()).compile(protocol)
+    source = compiled.protocol
+    if source is protocol:
+        return compiled
+    if type(source) is not type(protocol) or source.n != protocol.n:
+        raise ValueError(f"compiled table was built for {source!r}, not {protocol!r}")
+    ours = [protocol.state_signature(s) for s in protocol.enumerate_states() or []]
+    theirs = [source.state_signature(s) for s in source.enumerate_states() or []]
+    if ours != theirs:
+        raise ValueError(
+            f"compiled table was built for {source!r}, whose enumerated "
+            f"state space differs from {protocol!r} -- check protocol "
+            "parameters"
+        )
+    return compiled
+
+
 def _as_raw_tables(compiled: CompiledProtocol) -> Dict[str, np.ndarray]:
     """Normalize a compiled table to the branch-explicit raw form.
 
@@ -682,4 +712,5 @@ __all__ = [
     "ProtocolCompiler",
     "clear_compile_memo",
     "probe_deterministic_branch",
+    "table_for",
 ]

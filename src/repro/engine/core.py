@@ -1,4 +1,4 @@
-"""The engine core: what the three sequential engines share.
+"""The engine core: what the sequential and the trial-batched engines share.
 
 :class:`~repro.engine.simulation.Simulation`,
 :class:`~repro.engine.batch_simulation.BatchSimulation` and
@@ -24,14 +24,17 @@ An engine implements only what differs:
   protocol's own predicates; the table engines inherit the default;
 * checkpoint state (table engines).
 
-:func:`resolve_stop` and :func:`default_cap` also serve the trial-batched
-engines of :mod:`repro.engine.trial_batch`.
+:class:`TrialBatchCore` owns the same judging for the trial-batched engines
+of :mod:`repro.engine.trial_batch`, trial by trial, and
+:func:`unbatchable_reason` names the plans they refuse; a batched engine
+implements one round, ``_advance(live, budget)``, and the per-trial views
+the stop predicates read.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -52,6 +55,19 @@ DEFAULT_CAP_CUBIC_FACTOR = 40.0
 def default_cap(n: int) -> int:
     """The interaction cap used when a run sets none."""
     return int(DEFAULT_CAP_CUBIC_FACTOR * n * n * n)
+
+
+def _stop_check(engine: str, stopped: Callable[..., bool], *args) -> bool:
+    """Evaluate ``stopped(*args)`` as one stop check: timed as the
+    ``stop_check`` stage under ``--profile`` and counted in
+    ``repro_stop_checks_total``."""
+    marker = time.perf_counter() if _metrics._PROFILING else 0.0
+    hit = bool(stopped(*args))
+    if _metrics._PROFILING:
+        _metrics.record_stage_seconds(engine, "stop_check", time.perf_counter() - marker)
+    if _metrics._ENABLED:
+        _metrics.record_stop_check(engine)
+    return hit
 
 
 def resolve_stop(protocol: PopulationProtocol, compiled, kind: str):
@@ -140,21 +156,12 @@ class EngineCore:
 
         def stopped() -> bool:
             if counts_predicate is not None:
-                return bool(counts_predicate(self.state_counts))
-            return bool(predicate(self.configuration))
+                return counts_predicate(self.state_counts)
+            return predicate(self.configuration)
 
         engine = self.ENGINE
         while True:
-            if _metrics._PROFILING:
-                marker = time.perf_counter()
-                hit = stopped()
-                _metrics.record_stage_seconds(
-                    engine, "stop_check", time.perf_counter() - marker
-                )
-            else:
-                hit = stopped()
-            if _metrics._ENABLED:
-                _metrics.record_stop_check(engine)
+            hit = _stop_check(engine, stopped)
             if hit or self.interactions >= max_interactions:
                 result = SimulationResult(
                     n=n,
@@ -305,4 +312,124 @@ class EngineCore:
         return generator_state
 
 
-__all__ = ["DEFAULT_CAP_CUBIC_FACTOR", "EngineCore", "default_cap", "resolve_stop"]
+def unbatchable_reason(config: RunConfig) -> Optional[str]:
+    """Why the trial-batched engines cannot honour ``config`` (None if they can).
+
+    Fault plans with events, non-uniform schedulers and byzantine overlays
+    are per-trial constructs.  The batched engines refuse them with this
+    reason; the harness falls back to per-trial execution (the batched path
+    is an optimization, not a semantic switch) and warns with it, so an
+    ignored ``--trial-batch`` is never silent.
+    """
+    if config.faults is not None and config.faults.events:
+        return "fault campaigns run per trial"
+    if config.scheduler is not None and getattr(config.scheduler, "kind", None) != "uniform":
+        return "adversarial schedulers run per trial"
+    if config.byzantine is not None:
+        return "byzantine overlays run per trial"
+    return None
+
+
+class TrialBatchCore:
+    """The check loop shared by the trial-batched engines.
+
+    Trial ``t`` is judged exactly as :meth:`EngineCore.run_until` judges one
+    run: checked before its first interaction and at each of its own
+    ``check_interval`` boundaries, stopped on the condition or the cap.  A
+    trial that stops is *frozen*: it leaves the live set and is never
+    advanced again.  An engine supplies:
+
+    * ``_advance(live, budget)`` -- one round: each trial in ``live`` applies
+      at most its ``budget`` interactions and adds them to ``_applied``;
+    * ``_trial_counts(trial)`` and ``_trial_configuration(trial)`` -- one
+      trial's state-count vector and decoded configuration, for the counts
+      and configuration predicates of :func:`resolve_stop`.
+    """
+
+    #: Engine label on results and telemetry.
+    ENGINE: str
+
+    protocol: PopulationProtocol
+    #: Per-trial applied interaction counts, advanced by ``_advance``.
+    _applied: np.ndarray
+    _ran = False
+
+    @property
+    def n(self) -> int:
+        """Population size (per trial)."""
+        return self.protocol.n
+
+    @property
+    def trials(self) -> int:
+        """Number of trials in the batch."""
+        return len(self._applied)
+
+    def run(self, config: RunConfig) -> List[SimulationResult]:
+        """Run every trial until ``config.stop`` or the cap; results in trial order.
+
+        One-shot; plans :func:`unbatchable_reason` refuses raise
+        ``NotImplementedError``.
+        """
+        if not isinstance(config, RunConfig):
+            raise TypeError(f"run() takes a RunConfig, got {type(config).__name__}")
+        if self._ran:
+            raise RuntimeError(f"{type(self).__name__}.run() is one-shot per instance")
+        self._ran = True
+        refusal = unbatchable_reason(config)
+        if refusal is not None:
+            raise NotImplementedError(
+                f"trial-batched execution cannot run this plan: {refusal}"
+            )
+
+        n = self.protocol.n
+        engine = self.ENGINE
+        predicate, counts_predicate = resolve_stop(self.protocol, self.compiled, config.stop)
+        cap = default_cap(n) if config.max_interactions is None else config.max_interactions
+        check = n if config.check_interval is None else config.check_interval
+        results: List[Optional[SimulationResult]] = [None] * self.trials
+        live_mask = np.ones(self.trials, dtype=bool)
+        next_check = np.zeros(self.trials, dtype=np.int64)
+
+        def stopped(trial: int) -> bool:
+            if counts_predicate is not None:
+                return counts_predicate(self._trial_counts(trial))
+            return predicate(self._trial_configuration(trial))
+
+        def judge(trial: int) -> None:
+            """Check one trial: freeze it, or set its next boundary."""
+            hit = _stop_check(engine, stopped, trial)
+            applied = int(self._applied[trial])
+            if hit or applied >= cap:
+                results[trial] = SimulationResult(
+                    n=n,
+                    interactions=applied,
+                    stopped=hit,
+                    reason=config.stop if hit else "cap",
+                    engine=engine,
+                )
+                live_mask[trial] = False
+                self._on_freeze(trial)
+            else:
+                next_check[trial] = min(applied + check, cap)
+
+        for trial in range(self.trials):
+            judge(trial)
+        while live_mask.any():
+            live = np.nonzero(live_mask)[0]
+            self._advance(live, next_check[live] - self._applied[live])
+            for index in np.nonzero(self._applied[live] >= next_check[live])[0]:
+                judge(int(live[index]))
+        return results  # type: ignore[return-value]
+
+    def _on_freeze(self, trial: int) -> None:
+        """Called once, when ``trial`` stops or reaches the cap."""
+
+
+__all__ = [
+    "DEFAULT_CAP_CUBIC_FACTOR",
+    "EngineCore",
+    "TrialBatchCore",
+    "default_cap",
+    "resolve_stop",
+    "unbatchable_reason",
+]

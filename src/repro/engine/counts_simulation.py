@@ -37,7 +37,7 @@ frozen at the window start, so the window is distribution-equivalent up to
 the drift the window itself causes.  Two guards bound that drift:
 
 * **window sizing** -- ``W`` is chosen so the *expected* number of agents
-  consumed from any cell stays below ``drift_cap`` (default 5%) of its
+  consumed from any cell stays below ``DEFAULT_DRIFT_CAP`` (5%) of its
   count, with no floor: a count-1 cell whose whole propensity turns over in
   one event forces ``W`` toward 1, where the sampler is exact;
 * **matching feasibility** -- a sampled window is accepted only if no cell
@@ -73,7 +73,7 @@ from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
-from repro.engine.compiled import CompiledProtocol, ProtocolCompiler, _as_raw_tables
+from repro.engine.compiled import CompiledProtocol, ProtocolCompiler, _as_raw_tables, table_for
 from repro.engine.configuration import Configuration
 from repro.engine.core import EngineCore
 from repro.engine.protocol import PopulationProtocol
@@ -82,15 +82,21 @@ from repro.engine.rng import RngLike, make_rng
 from repro.engine.run_config import COUNTS_EPOCH_MESSAGE, RunConfig
 from repro.telemetry import metrics as _metrics
 
-#: Default bound on the expected fraction of a cell's count consumed by one
-#: window (the tau-leap accuracy knob; 1 keeps windows maximal, ->0 approaches
-#: the exact one-interaction-per-window law).
+#: Bound on the expected fraction of a cell's count consumed by one window
+#: (the tau-leap accuracy: 1 would keep windows maximal, ->0 approaches the
+#: exact one-interaction-per-window law).  Window sizes shape the random
+#: stream, so checkpoints record it.
 DEFAULT_DRIFT_CAP = 0.05
 
 #: Windows are capped so ``Binomial(window, q)`` stays inside int64 even when
 #: the interaction budget is astronomically larger than the active probability
 #: would ever sample.
 _HARD_WINDOW_CAP = 1 << 62
+
+
+def _one_class(ids) -> np.ndarray:
+    """Weight class of each agent id when every agent shares one class."""
+    return np.zeros(len(np.asarray(ids)), dtype=np.int64)
 
 
 def active_pair_tables(compiled: CompiledProtocol) -> Dict[str, np.ndarray]:
@@ -171,14 +177,9 @@ class CountsSimulation(EngineCore):
         ever building a per-agent array.
     compiled:
         Reuse an existing :class:`CompiledProtocol` (checked for
-        compatibility exactly like the batch engine).
+        compatibility by :func:`~repro.engine.compiled.table_for`).
     compiler:
         Compiler to use when ``compiled`` is not given.
-    drift_cap:
-        Tau-leap accuracy knob; see the module docstring.
-    max_window:
-        Optional upper bound on the window size (mainly for tests; ``None``
-        lets the drift cap govern).
     scheduler_spec:
         Optional :class:`~repro.adversary.schedulers.SchedulerSpec` (duck
         typed) to install immediately; ``run(config)`` installs the config's
@@ -202,8 +203,6 @@ class CountsSimulation(EngineCore):
         rng: RngLike = None,
         compiled: Optional[CompiledProtocol] = None,
         compiler: Optional[ProtocolCompiler] = None,
-        drift_cap: float = DEFAULT_DRIFT_CAP,
-        max_window: Optional[int] = None,
         scheduler_spec=None,
         record_windows: bool = False,
     ):
@@ -212,22 +211,11 @@ class CountsSimulation(EngineCore):
         ) if value is not None]
         if len(given) > 1:
             raise ValueError(f"pass at most one of configuration/indices/counts, got {given}")
-        if not 0.0 < drift_cap <= 1.0:
-            raise ValueError(f"drift_cap must be in (0, 1], got {drift_cap}")
-        if max_window is not None and max_window < 1:
-            raise ValueError(f"max_window must be positive, got {max_window}")
         if protocol.n < 2:
             raise ValueError("the counts engine needs a population of at least 2")
         self.protocol = protocol
         self.rng = make_rng(rng)
-        if compiled is None:
-            compiled = (compiler or ProtocolCompiler()).compile(protocol)
-        else:
-            # Same compatibility contract as the batch engine.
-            from repro.engine.batch_simulation import BatchSimulation
-
-            BatchSimulation._check_compiled_compatible(compiled, protocol)
-        self.compiled = compiled
+        self.compiled = compiled = table_for(protocol, compiled, compiler)
 
         tables = _as_raw_tables(compiled)
         self._branch_initiator = tables["initiator"]
@@ -280,14 +268,10 @@ class CountsSimulation(EngineCore):
         self._matrix = self._matrix.astype(np.int64, copy=False)
 
         self._class_weights = np.ones(1)
-        self._class_of: Callable[[np.ndarray], np.ndarray] = (
-            lambda ids: np.zeros(len(np.asarray(ids)), dtype=np.int64)
-        )
+        self._class_of: Callable[[np.ndarray], np.ndarray] = _one_class
         self.interactions = 0
         self._law_cache = None
         self._structure_cache = None
-        self._drift_cap = float(drift_cap)
-        self._max_window = None if max_window is None else int(max_window)
         self.window_log: Optional[List[Dict]] = [] if record_windows else None
         if scheduler_spec is not None:
             self._install_scheduler(scheduler_spec)
@@ -329,20 +313,16 @@ class CountsSimulation(EngineCore):
         num_states = self.compiled.num_states
         self._law_cache = None
         self._structure_cache = None
+        populations = None
         if kind == "uniform":
-            self._matrix = self._matrix.sum(axis=0).reshape(1, -1)
-            self._class_weights = np.ones(1)
-            self._class_of = lambda ids: np.zeros(len(np.asarray(ids)), dtype=np.int64)
-            return
-        if kind == "epoch":
+            unique = np.ones(1)
+        elif kind == "epoch":
             # RunConfig.__post_init__ rejects this combination up front; the
             # engine-level raise (same message) covers direct construction.
             raise NotImplementedError(COUNTS_EPOCH_MESSAGE)
-        if kind != "biased":
+        elif kind != "biased":
             raise ValueError(f"unknown scheduler kind {kind!r} for the counts engine")
-
-        populations = None
-        if getattr(spec, "weights", None) is not None:
+        elif getattr(spec, "weights", None) is not None:
             weights = np.asarray(spec.weights, dtype=np.float64)
             if weights.shape != (n,):
                 raise ValueError(
@@ -379,10 +359,10 @@ class CountsSimulation(EngineCore):
 
         num_classes = len(unique)
         if num_classes == 1:
-            # All (positive) weights equal: the biased law degenerates to uniform.
+            # Uniform, or biased with all (positive) weights equal: one class.
             self._matrix = self._matrix.sum(axis=0).reshape(1, -1)
             self._class_weights = np.ones(1)
-            self._class_of = lambda ids: np.zeros(len(np.asarray(ids)), dtype=np.int64)
+            self._class_of = _one_class
             return
 
         totals = self._matrix.sum(axis=0)
@@ -563,7 +543,7 @@ class CountsSimulation(EngineCore):
             self._law_cache = {"total_active": 0.0}
             return self._law_cache
         # Window sizing: the expected number of removals from any cell must
-        # stay below drift_cap * count.  No floor on the allowance -- a cell
+        # stay below DEFAULT_DRIFT_CAP * count.  No floor on the allowance -- a cell
         # of count 1 or 2 whose whole propensity turns over in one event
         # (e.g. rank-collision chains) forces the window toward 1, where the
         # sampler is exact; large-count cells keep windows wide.
@@ -571,7 +551,7 @@ class CountsSimulation(EngineCore):
             y, weights=probs, minlength=len(cells)
         )
         consuming = removal > 0.0
-        cap = (self._drift_cap * cells[consuming] / removal[consuming]).min()
+        cap = (DEFAULT_DRIFT_CAP * cells[consuming] / removal[consuming]).min()
 
         law = dict(structure)
         law["total_active"] = total_active
@@ -602,8 +582,6 @@ class CountsSimulation(EngineCore):
         if _metrics._ENABLED and cap < float(remaining):
             _metrics.record_drift_cap()
         window = min(window, _HARD_WINDOW_CAP)
-        if self._max_window is not None:
-            window = min(window, self._max_window)
         while not self._try_window(window, law):
             # The sampled events consumed more agents from some cell than it
             # holds; retry at half the window.  At window = 1 the sampler is
@@ -761,17 +739,17 @@ class CountsSimulation(EngineCore):
         The count vector plus the interaction counter plus the PCG64
         bit-generator state is the engine's whole dynamic state: the
         law/structure caches are pure functions of the counts, rebuilt
-        deterministically on the next window.  Window-sizing knobs
-        (``drift_cap``, ``max_window``) are captured too since they shape the
-        remaining random stream.  Consumes no randomness.
+        deterministically on the next window.  The window sizing
+        (``drift_cap``, and ``max_window``: none) is recorded too, since it
+        shapes the remaining random stream.  Consumes no randomness.
         """
         self._checkpoint_guard()
         return {
             "engine": "counts",
             "interactions": int(self.interactions),
             "counts": [int(value) for value in self.state_counts],
-            "drift_cap": float(self._drift_cap),
-            "max_window": None if self._max_window is None else int(self._max_window),
+            "drift_cap": DEFAULT_DRIFT_CAP,
+            "max_window": None,
             "bit_generator": self.rng.bit_generator.state,
         }
 
@@ -791,11 +769,14 @@ class CountsSimulation(EngineCore):
                 f"checkpoint counts sum to {int(counts.sum())}, expected "
                 f"population size {self.protocol.n}"
             )
+        if payload["drift_cap"] != DEFAULT_DRIFT_CAP or payload["max_window"] is not None:
+            raise ValueError(
+                f"checkpoint window sizing (drift_cap={payload['drift_cap']!r}, "
+                f"max_window={payload['max_window']!r}) is not the engine's "
+                f"(drift_cap={DEFAULT_DRIFT_CAP!r}, max_window=None)"
+            )
         self._matrix = counts.reshape(1, -1).copy()
         self.interactions = int(payload["interactions"])
-        self._drift_cap = float(payload["drift_cap"])
-        max_window = payload["max_window"]
-        self._max_window = None if max_window is None else int(max_window)
         self.rng.bit_generator.state = generator_state
         self._law_cache = None
         self._structure_cache = None

@@ -14,6 +14,10 @@ the arrays themselves, so one dispatch advances every live trial of a sweep:
   count matrix, where one broadcast binomial/multinomial draw from a frozen
   per-trial law serves all live trials of the window.
 
+Both inherit ``run(config)`` from :class:`~repro.engine.core.TrialBatchCore`,
+which judges each trial; an engine here supplies one round, ``_advance``, and
+the per-trial views its stop predicates read.
+
 The compiled RNG-stream regime
 ------------------------------
 ``TrialBatchSimulation`` is an *exact* execution regime with a documented
@@ -57,19 +61,19 @@ independent of segment boundaries.
 
 Convergence-masked freezing
 ---------------------------
-Stop conditions are evaluated per trial at that trial's own
-``check_interval`` boundaries (slices never cross a boundary).  A trial
-that stops -- or hits the interaction cap -- is *frozen*: it leaves the
-live set, its rows are never indexed again, and its state row is guaranteed
-untouched for the remainder of the run (a Hypothesis property test pins
-this).  Stragglers keep running with no wasted work on finished trials.
+The core checks each trial at its own ``check_interval`` boundaries (a
+round never crosses one).  A trial that stops -- or hits the interaction
+cap -- is *frozen*: it leaves the live set, its rows are never indexed
+again, and its state row stays untouched for the rest of the run (a
+Hypothesis property test pins this).  Stragglers keep running with no
+wasted work on finished trials.
 
 Limits
 ------
 * Fault plans, non-uniform schedulers and byzantine overlays are per-trial
-  constructs: :func:`unbatchable_reason` names the rule a config breaks,
-  ``run`` raises ``NotImplementedError`` with it, and the harness falls back
-  to per-trial execution with the same reason.
+  constructs: :func:`~repro.engine.core.unbatchable_reason` names the rule a
+  config breaks, ``run`` raises ``NotImplementedError`` with it, and the
+  harness falls back to per-trial execution with the same reason.
 * One-shot: ``run(config)`` may be called once per instance.
 
 The counts regime
@@ -92,13 +96,14 @@ halving only the overdrawn trials' windows.
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from repro.engine.batch_simulation import BatchSimulation, _scatter_first
-from repro.engine.compiled import CompiledProtocol, ProtocolCompiler
-from repro.engine.core import default_cap, resolve_stop
+from repro.engine.batch_simulation import _scatter_first
+from repro.engine.compiled import CompiledProtocol, ProtocolCompiler, table_for
+from repro.engine.configuration import Configuration
+from repro.engine.core import TrialBatchCore
 from repro.engine.counts_simulation import (
     DEFAULT_DRIFT_CAP,
     _HARD_WINDOW_CAP,
@@ -107,9 +112,7 @@ from repro.engine.counts_simulation import (
     pair_flows,
 )
 from repro.engine.protocol import PopulationProtocol
-from repro.engine.results import SimulationResult
 from repro.engine.rng import RngLike, make_rng
-from repro.engine.run_config import RunConfig
 from repro.engine.scheduler import draw_uniform_pair_matrix
 from repro.telemetry import metrics as _metrics
 
@@ -141,31 +144,7 @@ _EPOCH_WRAP = 1 << 21
 _STALE_TAG = 1 << 62
 
 
-def unbatchable_reason(config: RunConfig) -> Optional[str]:
-    """Why the trial-batched engines cannot honour ``config`` (None if they can).
-
-    Fault plans with events, non-uniform schedulers and byzantine overlays
-    are per-trial constructs.  The batched engines refuse them with this
-    reason; the harness falls back to per-trial execution (the batched path
-    is an optimization, not a semantic switch) and warns with it, so an
-    ignored ``--trial-batch`` is never silent.
-    """
-    if config.faults is not None and config.faults.events:
-        return "fault campaigns run per trial"
-    if config.scheduler is not None and getattr(config.scheduler, "kind", None) != "uniform":
-        return "adversarial schedulers run per trial"
-    if config.byzantine is not None:
-        return "byzantine overlays run per trial"
-    return None
-
-
-def _reject_unbatchable(config: RunConfig) -> None:
-    reason = unbatchable_reason(config)
-    if reason is not None:
-        raise NotImplementedError(f"trial-batched execution cannot run this plan: {reason}")
-
-
-class TrialBatchSimulation:
+class TrialBatchSimulation(TrialBatchCore):
     """Runs ``T`` independent compiled-engine trials as one batched execution.
 
     Parameters
@@ -183,13 +162,15 @@ class TrialBatchSimulation:
     configurations:
         ``T`` starting :class:`Configuration` objects (encoded here).
     compiled / compiler:
-        Share or build the compiled table (compatibility-checked exactly
-        like :class:`BatchSimulation`).
+        Share or build the compiled table (see
+        :func:`~repro.engine.compiled.table_for`).
     record_freezes:
         When true, a copy of each trial's state row is snapshotted at the
         moment the trial freezes, into :attr:`freeze_snapshots` -- the debug
         surface of the freeze-immutability property test.
     """
+
+    ENGINE = "compiled"
 
     def __init__(
         self,
@@ -206,11 +187,7 @@ class TrialBatchSimulation:
         trials = len(self.rngs)
         if trials < 1:
             raise ValueError("need at least one trial generator")
-        if compiled is None:
-            compiled = (compiler or ProtocolCompiler()).compile(protocol)
-        else:
-            BatchSimulation._check_compiled_compatible(compiled, protocol)
-        self.compiled = compiled
+        self.compiled = compiled = table_for(protocol, compiled, compiler)
 
         n = protocol.n
         if (indices is None) == (configurations is None):
@@ -234,241 +211,168 @@ class TrialBatchSimulation:
             raise ValueError("state indices out of range for the compiled state space")
         self._states = indices.astype(np.int32).reshape(-1).copy()
 
-        self._trials = trials
-        self._chunk = TRIAL_CHUNK
         # Per-trial pair buffers, refilled lazily so a trial's draw count
         # depends only on its own consumption (the bit-identity contract).
-        self._buf_init = np.empty((trials, self._chunk), dtype=np.int64)
-        self._buf_resp = np.empty((trials, self._chunk), dtype=np.int64)
-        self._cursor = np.full(trials, self._chunk, dtype=np.int64)  # empty => refill
+        self._buf_init = np.empty((trials, TRIAL_CHUNK), dtype=np.int64)
+        self._buf_resp = np.empty((trials, TRIAL_CHUNK), dtype=np.int64)
+        self._cursor = np.full(trials, TRIAL_CHUNK, dtype=np.int64)  # empty => refill
         self._applied = np.zeros(trials, dtype=np.int64)
         self._ema = np.full(trials, _EMA_PRIOR, dtype=np.float64)
         # Epoch-biased per-(trial, agent) conflict-scan scratch, flat T*n
         # (see _EPOCH_BIAS above).
         self._first_active = np.full(trials * n, _STALE_TAG, dtype=np.int64)
         self._epoch = 0
-        self._ran = False
         #: Trial index -> state-row copy taken at freeze time (only with
         #: ``record_freezes=True``).
         self.freeze_snapshots: Optional[Dict[int, np.ndarray]] = (
             {} if record_freezes else None
         )
 
-    # -- views ----------------------------------------------------------------------
-
-    @property
-    def n(self) -> int:
-        """Population size (per trial)."""
-        return self.protocol.n
-
-    @property
-    def trials(self) -> int:
-        """Number of trials in the batch."""
-        return self._trials
-
     @property
     def state_rows(self) -> np.ndarray:
         """The ``(T, n)`` state-index matrix (live view; treat as read-only)."""
-        return self._states.reshape(self._trials, self.protocol.n)
+        return self._states.reshape(self.trials, self.protocol.n)
 
     @property
     def interactions(self) -> np.ndarray:
         """Per-trial applied interaction counts (copy)."""
         return self._applied.copy()
 
-    def trial_state_counts(self, trial: int) -> np.ndarray:
-        """Histogram of one trial's state indices (length ``S``)."""
-        return np.bincount(
-            self.state_rows[trial], minlength=self.compiled.num_states
-        )
+    # -- what the core loop asks for --------------------------------------------------
 
-    # -- execution -------------------------------------------------------------------
+    def _trial_counts(self, trial: int) -> np.ndarray:
+        return np.bincount(self.state_rows[trial], minlength=self.compiled.num_states)
 
-    def _stopped(self, trial: int, predicate, counts_predicate) -> bool:
-        if counts_predicate is not None:
-            return bool(counts_predicate(self.trial_state_counts(trial)))
-        row = self.state_rows[trial]
-        return bool(predicate(self.compiled.decode_configuration(row)))
+    def _trial_configuration(self, trial: int) -> Configuration:
+        return self.compiled.decode_configuration(self.state_rows[trial])
 
-    def run(self, config: RunConfig) -> List[SimulationResult]:
-        """Execute all trials until ``config.stop`` (or the cap) and return
-        the per-trial :class:`SimulationResult` records in trial order.
+    def _on_freeze(self, trial: int) -> None:
+        if self.freeze_snapshots is not None:
+            self.freeze_snapshots[trial] = self.state_rows[trial].copy()
 
-        One-shot: a second call raises.  Plans :func:`unbatchable_reason`
-        refuses raise ``NotImplementedError`` (see module docstring).
-        """
-        if not isinstance(config, RunConfig):
-            raise TypeError(f"run() takes a RunConfig, got {type(config).__name__}")
-        if self._ran:
-            raise RuntimeError("TrialBatchSimulation.run() is one-shot per instance")
-        self._ran = True
-        _reject_unbatchable(config)
-
-        protocol = self.protocol
-        compiled = self.compiled
-        n = protocol.n
-        predicate, counts_predicate = resolve_stop(protocol, compiled, config.stop)
-        cap = config.max_interactions
-        if cap is None:
-            cap = default_cap(n)
-        check = config.check_interval if config.check_interval is not None else n
-        reason = config.stop
-
-        trials = self._trials
-        results: List[Optional[SimulationResult]] = [None] * trials
-        live_mask = np.ones(trials, dtype=bool)
-
-        def freeze(trial: int, stopped: bool, why: str) -> None:
-            results[trial] = SimulationResult(
-                n=n,
-                interactions=int(self._applied[trial]),
-                stopped=stopped,
-                reason=why,
-                engine="compiled",
+    def _advance(self, live: np.ndarray, budget: np.ndarray) -> None:
+        """One round over the live trials (see "Round structure" above)."""
+        profile = _metrics._PROFILING
+        marker = time.perf_counter() if profile else 0.0
+        n = self.protocol.n
+        chunk = TRIAL_CHUNK
+        exhausted = live[self._cursor[live] >= chunk]
+        if len(exhausted):
+            # One fixed-size draw per refill, from each trial's own
+            # stream.  Buffers store *global* agent ids (trial offset
+            # folded in at refill time), saving two adds per round.
+            refill_init, refill_resp = draw_uniform_pair_matrix(
+                [self.rngs[trial] for trial in exhausted], n, chunk
             )
-            live_mask[trial] = False
-            if self.freeze_snapshots is not None:
-                self.freeze_snapshots[trial] = self.state_rows[trial].copy()
-
-        # Pre-run check, like run_until: stop first, then the cap.
-        for trial in range(trials):
-            if self._stopped(trial, predicate, counts_predicate):
-                freeze(trial, True, reason)
-            elif cap <= 0:
-                freeze(trial, False, "cap")
-
-        next_check = np.full(trials, min(check, cap), dtype=np.int64)
-        changes = compiled.changes
-        num_states = compiled.num_states
-        states = self._states
-        chunk = self._chunk
-        flat_init = self._buf_init.reshape(-1)
-        flat_resp = self._buf_resp.reshape(-1)
-
-        while live_mask.any():
-            live = np.nonzero(live_mask)[0]
-            exhausted = live[self._cursor[live] >= chunk]
-            if len(exhausted):
-                # One fixed-size draw per refill, from each trial's own
-                # stream.  Buffers store *global* agent ids (trial offset
-                # folded in at refill time), saving two adds per round.
-                refill_init, refill_resp = draw_uniform_pair_matrix(
-                    [self.rngs[trial] for trial in exhausted], n, chunk
-                )
-                offsets = (exhausted * n)[:, None]
-                self._buf_init[exhausted] = refill_init + offsets
-                self._buf_resp[exhausted] = refill_resp + offsets
-                self._cursor[exhausted] = 0
-                if _metrics._ENABLED:
-                    _metrics.record_scheduler_refill(len(exhausted))
-
-            cursor = self._cursor[live]
-            widths = np.minimum(chunk - cursor, next_check[live] - self._applied[live])
-            slice_cap = np.maximum(64, (_SLICE_EMA_FACTOR * self._ema[live]).astype(np.int64) + 1)
-            widths = np.minimum(widths, slice_cap)
-            total = int(widths.sum())
-            ends = np.cumsum(widths)
-            starts = ends - widths
-            global_pos = np.arange(total, dtype=np.int64)
-            rep = np.repeat(np.arange(len(live)), widths)
-            flat = global_pos + (live * chunk + cursor - starts)[rep]
-            gi = flat_init[flat]
-            gj = flat_resp[flat]
-            # int32 throughout: S * S always fits (the dense S x S tables
-            # already bound S far below 2**15.5 by memory alone).
-            rows = states[gi] * np.int32(num_states)
-            rows += states[gj]
-            active = changes[rows]
-
-            # Conflict scan.  A pair at position p must end its trial's
-            # segment when either of its agents was touched by an *earlier*
-            # active pair of the slice -- null-classified pairs included,
-            # because their stale reads could misclassify them.  Each agent's
-            # first active occurrence is scatter-recorded as the epoch-biased
-            # tag ``position - epoch * _EPOCH_BIAS``: entries from earlier
-            # epochs carry a strictly larger value than any fresh tag, so one
-            # gather-and-compare replaces the separate epoch-tag array and
-            # the scan costs ~3 full-slice ops.
-            t_end_global = ends.copy()
-            act = np.nonzero(active)[0]
-            if len(act):
-                act_i = gi[act]
-                act_j = gj[act]
-                self._epoch += 1
-                if self._epoch >= _EPOCH_WRAP:
-                    self._first_active.fill(_STALE_TAG)
-                    self._epoch = 1
-                bias = self._epoch * _EPOCH_BIAS
-                agents = np.empty(2 * len(act), dtype=np.int64)
-                agents[0::2] = act_i
-                agents[1::2] = act_j
-                positions = np.empty(2 * len(act), dtype=np.int64)
-                positions[0::2] = act - bias
-                positions[1::2] = positions[0::2]
-                _scatter_first(
-                    self._first_active, agents, positions, sentinel=total - bias
-                )
-                stale_first = np.minimum(
-                    self._first_active[gi], self._first_active[gj]
-                )
-                conflicted = np.nonzero(stale_first < global_pos - bias)[0]
-                if len(conflicted):
-                    # Per-trial first conflict: the (few) flagged positions
-                    # fold into the segment ends via an unbuffered minimum.
-                    np.minimum.at(t_end_global, rep[conflicted], conflicted)
-
-                rep_act = rep[act]
-                keep = np.nonzero(act < t_end_global[rep_act])[0]
-                if len(keep):
-                    applied_rows = rows[act[keep]]
-                    if compiled.branch_cumprob is None:
-                        packed = compiled.packed_result[applied_rows]
-                    else:
-                        # One rng.random(k) per trial with k >= 1 active
-                        # pairs, in live (= trial) order, matching the flat
-                        # (trial-major) pair order of the kept actives.
-                        per_trial = np.bincount(rep_act[keep], minlength=len(live))
-                        draws = [
-                            self.rngs[trial].random(int(count))
-                            for trial, count in zip(live, per_trial)
-                            if count > 0
-                        ]
-                        uniforms = np.concatenate(draws)
-                        cumulative = compiled.branch_cumprob[applied_rows]
-                        branch = (uniforms[:, None] >= cumulative).sum(axis=1)
-                        np.minimum(branch, compiled.max_branches - 1, out=branch)
-                        packed = compiled.packed_result[applied_rows, branch]
-                    targets = np.empty(2 * len(keep), dtype=np.int64)
-                    targets[0::2] = act_i[keep]
-                    targets[1::2] = act_j[keep]
-                    states[targets] = packed.view(np.int32)
-
-            t_end_local = t_end_global - starts
-            self._cursor[live] = cursor + t_end_local
-            self._applied[live] += t_end_local
-            self._ema[live] += 0.25 * (t_end_local - self._ema[live])
+            offsets = (exhausted * n)[:, None]
+            self._buf_init[exhausted] = refill_init + offsets
+            self._buf_resp[exhausted] = refill_resp + offsets
+            self._cursor[exhausted] = 0
             if _metrics._ENABLED:
-                # One aggregate window per vectorized round across all live
-                # trials -- per-trial windows would cost a Python loop here.
-                _metrics.record_window("compiled", int(t_end_local.sum()))
+                _metrics.record_scheduler_refill(len(exhausted))
+        if profile:
+            now = time.perf_counter()
+            _metrics.record_stage_seconds("compiled", "scheduler_draw", now - marker)
+            marker = now
 
-            at_boundary = np.nonzero(self._applied[live] >= next_check[live])[0]
-            for index in at_boundary:
-                trial = int(live[index])
-                applied = int(self._applied[trial])
-                if _metrics._ENABLED:
-                    _metrics.record_stop_check("compiled")
-                if self._stopped(trial, predicate, counts_predicate):
-                    freeze(trial, True, reason)
-                elif applied >= cap:
-                    freeze(trial, False, "cap")
+        compiled = self.compiled
+        states = self._states
+        cursor = self._cursor[live]
+        widths = np.minimum(chunk - cursor, budget)
+        slice_cap = np.maximum(64, (_SLICE_EMA_FACTOR * self._ema[live]).astype(np.int64) + 1)
+        widths = np.minimum(widths, slice_cap)
+        total = int(widths.sum())
+        ends = np.cumsum(widths)
+        starts = ends - widths
+        global_pos = np.arange(total, dtype=np.int64)
+        rep = np.repeat(np.arange(len(live)), widths)
+        flat = global_pos + (live * chunk + cursor - starts)[rep]
+        gi = self._buf_init.reshape(-1)[flat]
+        gj = self._buf_resp.reshape(-1)[flat]
+        # int32 throughout: S * S always fits (the dense S x S tables
+        # already bound S far below 2**15.5 by memory alone).
+        rows = states[gi] * np.int32(compiled.num_states)
+        rows += states[gj]
+        active = compiled.changes[rows]
+
+        # Conflict scan.  A pair at position p must end its trial's
+        # segment when either of its agents was touched by an *earlier*
+        # active pair of the slice -- null-classified pairs included,
+        # because their stale reads could misclassify them.  Each agent's
+        # first active occurrence is scatter-recorded as the epoch-biased
+        # tag ``position - epoch * _EPOCH_BIAS``: entries from earlier
+        # epochs carry a strictly larger value than any fresh tag, so one
+        # gather-and-compare replaces the separate epoch-tag array and
+        # the scan costs ~3 full-slice ops.
+        t_end_global = ends.copy()
+        act = np.nonzero(active)[0]
+        if len(act):
+            act_i = gi[act]
+            act_j = gj[act]
+            self._epoch += 1
+            if self._epoch >= _EPOCH_WRAP:
+                self._first_active.fill(_STALE_TAG)
+                self._epoch = 1
+            bias = self._epoch * _EPOCH_BIAS
+            agents = np.empty(2 * len(act), dtype=np.int64)
+            agents[0::2] = act_i
+            agents[1::2] = act_j
+            positions = np.empty(2 * len(act), dtype=np.int64)
+            positions[0::2] = act - bias
+            positions[1::2] = positions[0::2]
+            _scatter_first(
+                self._first_active, agents, positions, sentinel=total - bias
+            )
+            stale_first = np.minimum(
+                self._first_active[gi], self._first_active[gj]
+            )
+            conflicted = np.nonzero(stale_first < global_pos - bias)[0]
+            if len(conflicted):
+                # Per-trial first conflict: the (few) flagged positions
+                # fold into the segment ends via an unbuffered minimum.
+                np.minimum.at(t_end_global, rep[conflicted], conflicted)
+
+            rep_act = rep[act]
+            keep = np.nonzero(act < t_end_global[rep_act])[0]
+            if len(keep):
+                applied_rows = rows[act[keep]]
+                if compiled.branch_cumprob is None:
+                    packed = compiled.packed_result[applied_rows]
                 else:
-                    next_check[trial] = min(applied + check, cap)
+                    # One rng.random(k) per trial with k >= 1 active
+                    # pairs, in live (= trial) order, matching the flat
+                    # (trial-major) pair order of the kept actives.
+                    per_trial = np.bincount(rep_act[keep], minlength=len(live))
+                    draws = [
+                        self.rngs[trial].random(int(count))
+                        for trial, count in zip(live, per_trial)
+                        if count > 0
+                    ]
+                    uniforms = np.concatenate(draws)
+                    cumulative = compiled.branch_cumprob[applied_rows]
+                    branch = (uniforms[:, None] >= cumulative).sum(axis=1)
+                    np.minimum(branch, compiled.max_branches - 1, out=branch)
+                    packed = compiled.packed_result[applied_rows, branch]
+                targets = np.empty(2 * len(keep), dtype=np.int64)
+                targets[0::2] = act_i[keep]
+                targets[1::2] = act_j[keep]
+                states[targets] = packed.view(np.int32)
 
-        return results  # type: ignore[return-value]
+        t_end_local = t_end_global - starts
+        self._cursor[live] = cursor + t_end_local
+        self._applied[live] += t_end_local
+        self._ema[live] += 0.25 * (t_end_local - self._ema[live])
+        if profile:
+            _metrics.record_stage_seconds(
+                "compiled", "table_apply", time.perf_counter() - marker
+            )
+        if _metrics._ENABLED:
+            # One aggregate window per vectorized round across all live
+            # trials -- per-trial windows would cost a Python loop here.
+            _metrics.record_window("compiled", int(t_end_local.sum()))
 
 
-class CountsTrialBatchSimulation:
+class CountsTrialBatchSimulation(TrialBatchCore):
     """Runs ``T`` independent counts-engine trials on a ``(T, S)`` count matrix.
 
     One batch-level generator drives the sampling; the window law, drift cap,
@@ -486,9 +390,9 @@ class CountsTrialBatchSimulation:
         ``(T, S)`` integer matrix; every row sums to ``protocol.n``.
     rng:
         The batch-level generator (or seed).
-    drift_cap / max_window:
-        Tau-leap knobs, as on :class:`CountsSimulation`.
     """
+
+    ENGINE = "counts"
 
     def __init__(
         self,
@@ -497,22 +401,12 @@ class CountsTrialBatchSimulation:
         rng: RngLike = None,
         compiled: Optional[CompiledProtocol] = None,
         compiler: Optional[ProtocolCompiler] = None,
-        drift_cap: float = DEFAULT_DRIFT_CAP,
-        max_window: Optional[int] = None,
     ):
-        if not 0.0 < drift_cap <= 1.0:
-            raise ValueError(f"drift_cap must be in (0, 1], got {drift_cap}")
-        if max_window is not None and max_window < 1:
-            raise ValueError(f"max_window must be positive, got {max_window}")
         if protocol.n < 2:
             raise ValueError("the counts engine needs a population of at least 2")
         self.protocol = protocol
         self.rng = make_rng(rng)
-        if compiled is None:
-            compiled = (compiler or ProtocolCompiler()).compile(protocol)
-        else:
-            BatchSimulation._check_compiled_compatible(compiled, protocol)
-        self.compiled = compiled
+        self.compiled = compiled = table_for(protocol, compiled, compiler)
 
         raw = np.asarray(counts)
         matrix = raw.astype(np.int64)
@@ -533,194 +427,109 @@ class CountsTrialBatchSimulation:
                 f"got row sums {sums.tolist()}"
             )
         self._matrix = matrix.copy()
-        self._trials = matrix.shape[0]
         self._support = active_pair_tables(compiled)
-        self._drift_cap = float(drift_cap)
-        self._max_window = None if max_window is None else int(max_window)
-        self._applied = np.zeros(self._trials, dtype=np.int64)
-        self._ran = False
-
-    # -- views ----------------------------------------------------------------------
-
-    @property
-    def n(self) -> int:
-        """Population size (per trial)."""
-        return self.protocol.n
-
-    @property
-    def trials(self) -> int:
-        """Number of trials in the batch."""
-        return self._trials
+        self._applied = np.zeros(matrix.shape[0], dtype=np.int64)
 
     @property
     def count_rows(self) -> np.ndarray:
         """The ``(T, S)`` count matrix (live view; treat as read-only)."""
         return self._matrix
 
-    # -- execution -------------------------------------------------------------------
+    # -- what the core loop asks for --------------------------------------------------
 
-    def _stopped(self, trial: int, predicate, counts_predicate) -> bool:
-        marker = time.perf_counter() if _metrics._PROFILING else 0.0
+    def _trial_counts(self, trial: int) -> np.ndarray:
+        return self._matrix[trial]
+
+    def _trial_configuration(self, trial: int) -> Configuration:
         counts = self._matrix[trial]
-        if counts_predicate is not None:
-            hit = bool(counts_predicate(counts))
-        else:
-            indices = np.repeat(np.arange(len(counts)), counts).astype(np.int32)
-            hit = bool(predicate(self.compiled.decode_configuration(indices)))
-        if _metrics._PROFILING:
-            _metrics.record_stage_seconds("counts", "stop_check", time.perf_counter() - marker)
-        return hit
+        indices = np.repeat(np.arange(len(counts)), counts).astype(np.int32)
+        return self.compiled.decode_configuration(indices)
 
-    def run(self, config: RunConfig) -> List[SimulationResult]:
-        """Execute all trials until ``config.stop`` (or the cap); trial order.
-
-        One-shot; plans :func:`unbatchable_reason` refuses raise
-        ``NotImplementedError`` (the harness runs those per trial).
-        """
-        if not isinstance(config, RunConfig):
-            raise TypeError(f"run() takes a RunConfig, got {type(config).__name__}")
-        if self._ran:
-            raise RuntimeError("CountsTrialBatchSimulation.run() is one-shot per instance")
-        self._ran = True
-        _reject_unbatchable(config)
-
-        protocol = self.protocol
-        n = protocol.n
-        num_states = self.compiled.num_states
-        predicate, counts_predicate = resolve_stop(protocol, self.compiled, config.stop)
-        cap = config.max_interactions
-        if cap is None:
-            cap = default_cap(n)
-        check = config.check_interval if config.check_interval is not None else n
-        reason = config.stop
-
-        trials = self._trials
-        results: List[Optional[SimulationResult]] = [None] * trials
-        live_mask = np.ones(trials, dtype=bool)
-
-        def freeze(trial: int, stopped: bool, why: str) -> None:
-            results[trial] = SimulationResult(
-                n=n,
-                interactions=int(self._applied[trial]),
-                stopped=stopped,
-                reason=why,
-                engine="counts",
-            )
-            live_mask[trial] = False
-
-        for trial in range(trials):
-            if self._stopped(trial, predicate, counts_predicate):
-                freeze(trial, True, reason)
-            elif cap <= 0:
-                freeze(trial, False, "cap")
-
-        next_check = np.full(trials, min(check, cap), dtype=np.int64)
+    def _advance(self, live: np.ndarray, budget: np.ndarray) -> None:
+        """One window per live trial, from the law frozen at its start.  As in
+        ``CountsSimulation._advance``, the law and window sizing are the
+        "scheduler_draw" stage; draws, retries and the update "table_apply"."""
+        profile = _metrics._PROFILING
+        marker = time.perf_counter() if profile else 0.0
         support = self._support
         x, y = support["x"], support["y"]
-        diagonal = support["diagonal"]
-        denominator = float(n) * float(n - 1)
+        num_states = self.compiled.num_states
+        n = self.protocol.n
         rng = self.rng
-        # --profile stages, split as in CountsSimulation._advance: the law and
-        # window sizing are "scheduler_draw"; draws, retries and the update
-        # are "table_apply"; _stopped times "stop_check".
-        profile = _metrics._PROFILING
+        count = len(live)
+        cells = self._matrix[live].astype(np.float64)
+        # Frozen uniform law over the static active support:
+        # P[x, y] = c_x (c_y - [x = y]) / (n (n - 1)); empty cells
+        # contribute exactly zero, so the support needs no per-trial
+        # filtering.
+        probs = cells[:, x] * (cells[:, y] - support["diagonal"]) / (float(n) * float(n - 1))
+        np.maximum(probs, 0.0, out=probs)
+        total_active = probs.sum(axis=1)
 
-        while live_mask.any():
-            marker = time.perf_counter() if profile else 0.0
-            live = np.nonzero(live_mask)[0]
-            count = len(live)
-            cells = self._matrix[live].astype(np.float64)
-            # Frozen uniform law over the static active support:
-            # P[x, y] = c_x (c_y - [x = y]) / (n (n - 1)); empty cells
-            # contribute exactly zero, so the support needs no per-trial
-            # filtering.
-            probs = cells[:, x] * (cells[:, y] - diagonal) / denominator
-            np.maximum(probs, 0.0, out=probs)
-            total_active = probs.sum(axis=1)
-
-            # Drift-capped window per trial (same rule as CountsSimulation):
-            # expected removals from any state stay below drift_cap * count.
-            removal = pair_flows(cells.shape, *dense_pair_terms(probs, x, y, num_states))
-            with np.errstate(divide="ignore", invalid="ignore"):
-                allowance = np.where(removal > 0.0, cells / removal, np.inf)
-            drift_window = self._drift_cap * allowance.min(axis=1)
-            remaining = next_check[live] - self._applied[live]
-            windows = np.minimum(remaining, _HARD_WINDOW_CAP)
-            capped = np.maximum(np.minimum(drift_window, 1e18), 1.0).astype(np.int64)
-            # Silent trials (no active probability) jump straight to their
-            # next boundary: the remaining draws are all null and commute.
-            if _metrics._ENABLED:
-                _metrics.record_drift_cap(
-                    int(np.count_nonzero((total_active > 0.0) & (capped < windows)))
-                )
-            windows = np.where(total_active > 0.0, np.minimum(windows, capped), windows)
-            if self._max_window is not None:
-                windows = np.minimum(windows, self._max_window)
-            if profile:
-                now = time.perf_counter()
-                _metrics.record_stage_seconds("counts", "scheduler_draw", now - marker)
-                marker = now
-
-            events = np.zeros((count, len(x)), dtype=np.int64)
-            consumed = np.zeros((count, num_states), dtype=np.int64)
-            sample = np.nonzero(total_active > 0.0)[0]
-            while len(sample):
-                pvals = probs[sample] / total_active[sample, None]
-                hits = rng.binomial(
-                    windows[sample], np.minimum(total_active[sample], 1.0)
-                )
-                drawn = rng.multinomial(hits, pvals)
-                used = pair_flows(
-                    (len(sample), num_states), *dense_pair_terms(drawn, x, y, num_states)
-                )
-                # Matching feasibility per trial: no state may supply more
-                # initiators+responders than it holds.  Only the overdrawn
-                # trials halve and resample; feasible trials keep their draw.
-                overdrawn = (used > self._matrix[live[sample]]).any(axis=1)
-                feasible = ~overdrawn
-                if _metrics._ENABLED:
-                    _metrics.record_halving(int(np.count_nonzero(overdrawn)))
-                events[sample[feasible]] = drawn[feasible]
-                consumed[sample[feasible]] = used[feasible]
-                windows[sample[overdrawn]] = np.maximum(
-                    windows[sample[overdrawn]] // 2, 1
-                )
-                sample = sample[overdrawn]
-
-            if support["num_branches"] > 1:
-                # Split each pair's events over its branches: (count, K, B).
-                events = rng.multinomial(events, support["branch_pvals"])
-            produced = pair_flows(
-                cells.shape, *dense_pair_terms(events, *support["outputs"], num_states)
+        # Drift-capped window per trial (same rule as CountsSimulation):
+        # expected removals from any state stay below DEFAULT_DRIFT_CAP * count.
+        removal = pair_flows(cells.shape, *dense_pair_terms(probs, x, y, num_states))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            allowance = np.where(removal > 0.0, cells / removal, np.inf)
+        drift_window = DEFAULT_DRIFT_CAP * allowance.min(axis=1)
+        windows = np.minimum(budget, _HARD_WINDOW_CAP)
+        capped = np.maximum(np.minimum(drift_window, 1e18), 1.0).astype(np.int64)
+        # Silent trials (no active probability) jump straight to their
+        # next boundary: the remaining draws are all null and commute.
+        if _metrics._ENABLED:
+            _metrics.record_drift_cap(
+                int(np.count_nonzero((total_active > 0.0) & (capped < windows)))
             )
-            self._matrix[live] += produced - consumed
-            self._applied[live] += windows
-            if profile:
-                _metrics.record_stage_seconds(
-                    "counts", "table_apply", time.perf_counter() - marker
-                )
+        windows = np.where(total_active > 0.0, np.minimum(windows, capped), windows)
+        if profile:
+            now = time.perf_counter()
+            _metrics.record_stage_seconds("counts", "scheduler_draw", now - marker)
+            marker = now
+
+        events = np.zeros((count, len(x)), dtype=np.int64)
+        consumed = np.zeros((count, num_states), dtype=np.int64)
+        sample = np.nonzero(total_active > 0.0)[0]
+        while len(sample):
+            pvals = probs[sample] / total_active[sample, None]
+            hits = rng.binomial(
+                windows[sample], np.minimum(total_active[sample], 1.0)
+            )
+            drawn = rng.multinomial(hits, pvals)
+            used = pair_flows(
+                (len(sample), num_states), *dense_pair_terms(drawn, x, y, num_states)
+            )
+            # Matching feasibility per trial: no state may supply more
+            # initiators+responders than it holds.  Only the overdrawn
+            # trials halve and resample; feasible trials keep their draw.
+            overdrawn = (used > self._matrix[live[sample]]).any(axis=1)
+            feasible = ~overdrawn
             if _metrics._ENABLED:
-                _metrics.record_window("counts", int(windows.sum()))
+                _metrics.record_halving(int(np.count_nonzero(overdrawn)))
+            events[sample[feasible]] = drawn[feasible]
+            consumed[sample[feasible]] = used[feasible]
+            windows[sample[overdrawn]] = np.maximum(
+                windows[sample[overdrawn]] // 2, 1
+            )
+            sample = sample[overdrawn]
 
-            at_boundary = np.nonzero(self._applied[live] >= next_check[live])[0]
-            for index in at_boundary:
-                trial = int(live[index])
-                applied = int(self._applied[trial])
-                if _metrics._ENABLED:
-                    _metrics.record_stop_check("counts")
-                if self._stopped(trial, predicate, counts_predicate):
-                    freeze(trial, True, reason)
-                elif applied >= cap:
-                    freeze(trial, False, "cap")
-                else:
-                    next_check[trial] = min(applied + check, cap)
-
-        return results  # type: ignore[return-value]
+        if support["num_branches"] > 1:
+            # Split each pair's events over its branches: (count, K, B).
+            events = rng.multinomial(events, support["branch_pvals"])
+        produced = pair_flows(
+            cells.shape, *dense_pair_terms(events, *support["outputs"], num_states)
+        )
+        self._matrix[live] += produced - consumed
+        self._applied[live] += windows
+        if profile:
+            _metrics.record_stage_seconds(
+                "counts", "table_apply", time.perf_counter() - marker
+            )
+        if _metrics._ENABLED:
+            _metrics.record_window("counts", int(windows.sum()))
 
 
 __all__ = [
     "CountsTrialBatchSimulation",
     "TRIAL_CHUNK",
     "TrialBatchSimulation",
-    "unbatchable_reason",
 ]

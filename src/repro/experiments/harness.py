@@ -33,15 +33,12 @@ import numpy as np
 
 from repro.engine.compiled import CompiledProtocol, ProtocolCompiler
 from repro.engine.configuration import Configuration
+from repro.engine.core import unbatchable_reason
 from repro.engine.protocol import PopulationProtocol
 from repro.engine.results import SimulationResult, TrialStatistics
 from repro.engine.rng import RngLike, batch_seed_sequence, spawn_seed_sequences
 from repro.engine.run_config import ENGINES, STOPS, RunConfig, make_simulation
-from repro.engine.trial_batch import (
-    CountsTrialBatchSimulation,
-    TrialBatchSimulation,
-    unbatchable_reason,
-)
+from repro.engine.trial_batch import CountsTrialBatchSimulation, TrialBatchSimulation
 from repro.experiments.api import DEFAULT_EXPERIMENT_SEED
 from repro.experiments.result import ExperimentResult
 from repro.telemetry import metrics as _metrics
@@ -391,7 +388,7 @@ def run_trials(
     (:mod:`repro.engine.trial_batch`); with ``jobs > 1`` each worker process
     runs whole batches.  Compiled-engine per-trial results are bit-identical
     for every ``trial_batch`` x ``jobs`` composition; plans that
-    :func:`~repro.engine.trial_batch.unbatchable_reason` refuses fall back
+    :func:`~repro.engine.core.unbatchable_reason` refuses fall back
     to per-trial execution with a ``RuntimeWarning`` naming the reason.
     """
     config = _coerce_run_config(run, caller="run_trials")

@@ -69,6 +69,14 @@ class TestRunTrace:
         stage_rows = output.split("stage breakdown", 1)[1].splitlines()
         assert any(row.split()[:2] == ["counts", stage] for row in stage_rows if row)
 
+    @pytest.mark.parametrize("stage", ["scheduler_draw", "table_apply", "stop_check"])
+    def test_profile_reports_batched_compiled_stages(self, stage, capsys):
+        run = FAST_RUN[:2] + ["--engine", "compiled", "--trial-batch", "4", "--seed", "1"]
+        assert main(run + ["--profile"]) == 0
+        output = capsys.readouterr().out
+        stage_rows = output.split("stage breakdown", 1)[1].splitlines()
+        assert any(row.split()[:2] == ["compiled", stage] for row in stage_rows if row)
+
     def test_plain_run_leaves_telemetry_off(self, capsys):
         assert main(FAST_RUN) == 0
         assert not metrics.enabled()
