@@ -172,7 +172,7 @@ class TaggedState(AgentState):
 
     Exemplar state of the overlay's extended encoding.  Attribute reads fall
     through to the wrapped base state so field-inspecting code (predicates,
-    ``state_mask`` lambdas, the CLI's summaries) keeps working on tagged
+    ``state_array`` lambdas, the CLI's summaries) keeps working on tagged
     states.
     """
 

@@ -74,7 +74,7 @@ class FratricideLeaderElection(PopulationProtocol):
 
     def compiled_predicates(self):
         def unique_leader(counts, compiled):
-            leaders = compiled.state_mask(lambda state: state.leader)
+            leaders = compiled.state_array("leader", lambda state: state.leader)
             return int(counts[leaders].sum()) == 1
 
         # A unique leader can never be destroyed (L, F pairs are null), so

@@ -33,7 +33,7 @@ from repro.core.problems import is_valid_ranking
 from repro.core.propagate_reset import RESETTING, PropagateReset, default_rmax
 from repro.engine.configuration import Configuration
 from repro.engine.protocol import PopulationProtocol
-from repro.engine.state import AgentState
+from repro.engine.state import _ATOMIC_TYPES, AgentState
 
 #: Role labels.
 SETTLED = "Settled"
@@ -75,6 +75,19 @@ class OptimalSilentState(AgentState):
         if self.role == UNSETTLED:
             return (UNSETTLED, self.errorcount)
         return (RESETTING, self.leader, self.resetcount, self.delaytimer)
+
+    def clone(self) -> "OptimalSilentState":
+        # The compiler clones both states of every probe.  Copying the field
+        # dict is exact while every field is a scalar, which is all this class
+        # assigns; a subclass or a container value takes the general copy.
+        fields = self.__dict__
+        if type(self) is OptimalSilentState and _ATOMIC_TYPES.issuperset(
+            map(type, fields.values())
+        ):
+            twin = object.__new__(OptimalSilentState)
+            twin.__dict__ = fields.copy()
+            return twin
+        return AgentState.clone(self)
 
 
 class OptimalSilentSSR(PopulationProtocol):
@@ -335,13 +348,13 @@ class OptimalSilentSSR(PopulationProtocol):
         n = self.n
 
         def valid_ranking(counts, compiled):
-            settled = compiled.state_mask(lambda state: state.role == SETTLED)
+            settled = compiled.state_array("settled", lambda state: state.role == SETTLED)
             if int(counts[~settled].sum()) != 0:
                 return False
-            ranks = np.fromiter(
-                (state.rank if state.role == SETTLED else 0 for state in compiled.states),
-                dtype=np.int64,
-                count=compiled.num_states,
+            ranks = compiled.state_array(
+                "settled rank",
+                lambda state: state.rank if state.role == SETTLED else 0,
+                np.int64,
             )
             per_rank = np.bincount(ranks[settled], weights=counts[settled], minlength=n + 1)
             # All n agents Settled with every rank in 1..n held at most once

@@ -320,7 +320,7 @@ class ResetWaveProtocol(PopulationProtocol):
 
     def compiled_predicates(self):
         def fully_computing(counts, compiled):
-            resetting = compiled.state_mask(lambda state: state.role == RESETTING)
+            resetting = compiled.state_array("resetting", lambda state: state.role == RESETTING)
             return int(counts[resetting].sum()) == 0
 
         return {

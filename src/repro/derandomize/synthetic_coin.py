@@ -137,7 +137,7 @@ class SyntheticCoinProtocol(PopulationProtocol):
 
     def compiled_predicates(self):
         def all_done(counts, compiled):
-            undone = compiled.state_mask(lambda state: not state.done)
+            undone = compiled.state_array("undone", lambda state: not state.done)
             return int(counts[undone].sum()) == 0
 
         return {"correct": all_done, "stabilized": all_done}

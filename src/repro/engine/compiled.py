@@ -80,22 +80,43 @@ class CompilationError(RuntimeError):
     """Raised when a protocol cannot be compiled to a transition table."""
 
 
-class _ProbeGenerators:
-    """One generator per probe seed, rewound to its seeded start for each probe.
+class _WatchedGenerator(np.random.Generator):
+    """A generator that marks its instance dict on every attribute lookup.
 
-    Rewinding (``bit_generator.state = start``) gives exactly the draws a
-    fresh ``make_rng(seed)`` gives, at a fraction of the cost.  Each
-    ``compile()`` call builds its own: ``repro serve`` compiles on worker
-    threads of one process.
+    A probe reaches the stream only through an attribute -- a draw method,
+    ``bit_generator``, ``spawn`` -- so while the dict is empty the generator
+    is where its last rewind left it.
+    """
+
+    def __getattribute__(self, name):
+        object.__setattr__(self, "_looked_up", True)
+        return super().__getattribute__(name)
+
+
+class _ProbeGenerators:
+    """One generator per probe seed, at its seeded start whenever a probe gets it.
+
+    Each wraps the bit generator of ``make_rng(seed)`` and is rewound
+    (``bit_generator.state = start``, exactly the draws a fresh
+    ``make_rng(seed)`` gives) only if something looked it up since its last
+    rewind: deterministic transitions never pay for one.  Each ``compile()``
+    call builds its own: ``repro serve`` compiles on worker threads of one
+    process.
     """
 
     def __init__(self, seeds: Sequence[int]):
-        self._generators = [make_rng(seed) for seed in seeds]
-        self._starts = [generator.bit_generator.state for generator in self._generators]
+        self._probes = []
+        for seed in seeds:
+            bit_generator = make_rng(seed).bit_generator
+            generator = _WatchedGenerator(bit_generator)
+            marks = object.__getattribute__(generator, "__dict__")
+            self._probes.append((generator, marks, bit_generator, bit_generator.state))
 
     def __iter__(self) -> Iterator[np.random.Generator]:
-        for generator, start in zip(self._generators, self._starts):
-            generator.bit_generator.state = start
+        for generator, marks, bit_generator, start in self._probes:
+            if marks:
+                bit_generator.state = start
+                marks.clear()
             yield generator
 
 
@@ -113,31 +134,36 @@ def probe_deterministic_branch(
     which raises :class:`CompilationError`.  Shared by the compiler's generic
     path and by product protocols deriving their factors' branches.
     """
-    return _probe_branch(protocol, initiator, responder, _ProbeGenerators(probe_seeds))
+    new_initiator, new_responder, _ = _probe(
+        protocol, initiator, responder, _ProbeGenerators(probe_seeds)
+    )
+    return [(1.0, new_initiator, new_responder)]
 
 
-def _probe_branch(
+def _probe(
     protocol: PopulationProtocol,
     initiator: AgentState,
     responder: AgentState,
     probes: _ProbeGenerators,
-) -> List[Tuple[float, AgentState, AgentState]]:
-    outcomes = []
+) -> Tuple[AgentState, AgentState, Tuple[Hashable, Hashable]]:
+    """The first probe's outcome states and their signatures, once every
+    probe's outcome signatures agree with them."""
+    signature = protocol.state_signature
+    first = None
     for generator in probes:
         probe_initiator = initiator.clone()
         probe_responder = responder.clone()
         protocol.transition(probe_initiator, probe_responder, generator)
-        outcomes.append((probe_initiator, probe_responder))
-    signatures = {
-        (protocol.state_signature(a), protocol.state_signature(b)) for a, b in outcomes
-    }
-    if len(signatures) > 1:
-        raise CompilationError(
-            f"{protocol.name}: transition() is randomized (probe outcomes differ "
-            f"for pair {initiator!r}, {responder!r}); implement "
-            "transition_branches() to expose the branch probabilities"
-        )
-    return [(1.0, outcomes[0][0], outcomes[0][1])]
+        signatures = (signature(probe_initiator), signature(probe_responder))
+        if first is None:
+            first = (probe_initiator, probe_responder, signatures)
+        elif signatures != first[2]:
+            raise CompilationError(
+                f"{protocol.name}: transition() is randomized (probe outcomes differ "
+                f"for pair {initiator!r}, {responder!r}); implement "
+                "transition_branches() to expose the branch probabilities"
+            )
+    return first
 
 
 class CompiledProtocol:
@@ -201,6 +227,9 @@ class CompiledProtocol:
             else (result_responder, result_initiator)
         )
         self.packed_result = low.astype(np.int64) | (high.astype(np.int64) << 32)
+        #: :meth:`state_array` results by key, shared with every
+        #: :meth:`bound_to` twin.
+        self._state_arrays: Dict[Hashable, np.ndarray] = {}
 
     def bound_to(self, protocol: PopulationProtocol) -> "CompiledProtocol":
         """This table with ``protocol`` as its source, sharing every array and exemplar."""
@@ -263,11 +292,24 @@ class CompiledProtocol:
         """Histogram of state indices (length ``S``)."""
         return np.bincount(indices, minlength=self.num_states)
 
-    def state_mask(self, predicate: Callable[[AgentState], bool]) -> np.ndarray:
-        """Boolean mask of length ``S``: ``predicate(states[k])`` per state."""
-        return np.fromiter(
-            (predicate(state) for state in self.states), dtype=bool, count=self.num_states
-        )
+    def state_array(
+        self, key: Hashable, value: Callable[[AgentState], object], dtype=bool
+    ) -> np.ndarray:
+        """Read-only ``value(states[k])`` per state, built once per table and ``key``.
+
+        For stop predicates, which run on every check: the first call builds
+        the array and every later call with ``key`` -- on this table or a
+        :meth:`bound_to` twin -- returns it, so ``value`` must depend on the
+        state alone (or on parameters twins share, such as ``n``).
+        """
+        array = self._state_arrays.get(key)
+        if array is None:
+            array = np.fromiter(
+                (value(state) for state in self.states), dtype=dtype, count=self.num_states
+            )
+            array.setflags(write=False)
+            self._state_arrays[key] = array
+        return array
 
     # -- generic fast predicates ----------------------------------------------------
 
@@ -405,8 +447,7 @@ class ProtocolCompiler:
         states: List[AgentState] = []
         index: Dict[Hashable, int] = {}
 
-        def intern(state: AgentState) -> int:
-            signature = protocol.state_signature(state)
+        def intern(state: AgentState, signature: Hashable) -> int:
             existing = index.get(signature)
             if existing is not None:
                 return existing
@@ -421,12 +462,13 @@ class ProtocolCompiler:
             return position
 
         for seed_state in seeds:
-            intern(seed_state)
+            intern(seed_state, protocol.state_signature(seed_state))
         if not states:
             raise CompilationError(f"{protocol.name}: enumerate_states() returned no states")
 
-        # Close the state set under the transition relation, recording the
-        # branch list of every ordered pair as we go.  Without an override of
+        # Close the state set under the transition relation, pair by pair.
+        # A probed pair appends ``i, j, i', j'`` to one flat list; declared
+        # branch lists go to ``explicit``.  Without an override of
         # transition_branches() the hook always answers None, so it is skipped
         # along with the two clones it would be handed.
         probes = _ProbeGenerators(self.probe_seeds)
@@ -434,89 +476,106 @@ class ProtocolCompiler:
             getattr(protocol.transition_branches, "__func__", None)
             is not PopulationProtocol.transition_branches
         )
-        table: Dict[Tuple[int, int], List[Tuple[float, int, int]]] = {}
+        probed: List[int] = []
+        explicit: Dict[Tuple[int, int], List[Tuple[float, int, int]]] = {}
         closed = 0
         while closed < len(states):
             boundary = len(states)
             for i in range(boundary):
-                for j in range(boundary):
-                    if i < closed and j < closed:
-                        continue
-                    table[(i, j)] = self._branches(
-                        protocol, states[i], states[j], intern, probes, explicit_hook
+                initiator = states[i]
+                for j in range(closed if i < closed else 0, boundary):
+                    responder = states[j]
+                    branches = (
+                        protocol.transition_branches(initiator.clone(), responder.clone())
+                        if explicit_hook
+                        else None
                     )
+                    if branches is not None:
+                        explicit[(i, j)] = self._branches(protocol, branches, intern)
+                        continue
+                    new_initiator, new_responder, (signature_i, signature_j) = _probe(
+                        protocol, initiator, responder, probes
+                    )
+                    new_i = intern(new_initiator, signature_i)
+                    probed.extend((i, j, new_i, intern(new_responder, signature_j)))
             closed = boundary
 
-        return self._tabulate(protocol, states, table)
+        return self._tabulate(protocol, states, probed, explicit)
 
     def _branches(
         self,
         protocol: PopulationProtocol,
-        initiator: AgentState,
-        responder: AgentState,
-        intern: Callable[[AgentState], int],
-        probes: _ProbeGenerators,
-        explicit_hook: bool,
+        branches: Sequence[Tuple[float, AgentState, AgentState]],
+        intern: Callable[[AgentState, Hashable], int],
     ) -> List[Tuple[float, int, int]]:
-        """Branch list ``[(probability, initiator', responder')]`` for one pair."""
-        explicit = (
-            protocol.transition_branches(initiator.clone(), responder.clone())
-            if explicit_hook
-            else None
-        )
-        if explicit is not None:
-            if not explicit:
+        """Validate a declared branch list and encode it as
+        ``[(probability, initiator', responder')]``."""
+        if not branches:
+            raise CompilationError(
+                f"{protocol.name}: transition_branches() returned no branches"
+            )
+        signature = protocol.state_signature
+        total = 0.0
+        encoded: List[Tuple[float, int, int]] = []
+        for probability, new_initiator, new_responder in branches:
+            probability = float(probability)
+            if probability <= 0.0:
                 raise CompilationError(
-                    f"{protocol.name}: transition_branches() returned no branches"
+                    f"{protocol.name}: branch probability must be positive, "
+                    f"got {probability}"
                 )
-            total = 0.0
-            encoded: List[Tuple[float, int, int]] = []
-            for probability, new_initiator, new_responder in explicit:
-                probability = float(probability)
-                if probability <= 0.0:
-                    raise CompilationError(
-                        f"{protocol.name}: branch probability must be positive, "
-                        f"got {probability}"
-                    )
-                total += probability
-                encoded.append((probability, intern(new_initiator), intern(new_responder)))
-            if abs(total - 1.0) > self.probability_tolerance:
-                raise CompilationError(
-                    f"{protocol.name}: branch probabilities sum to {total}, expected 1"
+            total += probability
+            encoded.append(
+                (
+                    probability,
+                    intern(new_initiator, signature(new_initiator)),
+                    intern(new_responder, signature(new_responder)),
                 )
-            return encoded
-
-        [(probability, result_initiator, result_responder)] = _probe_branch(
-            protocol, initiator, responder, probes
-        )
-        return [(probability, intern(result_initiator), intern(result_responder))]
+            )
+        if abs(total - 1.0) > self.probability_tolerance:
+            raise CompilationError(
+                f"{protocol.name}: branch probabilities sum to {total}, expected 1"
+            )
+        return encoded
 
     def _tabulate(
         self,
         protocol: PopulationProtocol,
         states: List[AgentState],
-        table: Dict[Tuple[int, int], List[Tuple[float, int, int]]],
+        probed: List[int],
+        explicit: Dict[Tuple[int, int], List[Tuple[float, int, int]]],
     ) -> CompiledProtocol:
+        """The dense arrays from the probed ``i, j, i', j'`` list and the
+        declared branch lists.
+
+        A table is single-branch unless some declared list has two branches
+        or more; a declared single branch then keeps its own probability.
+        """
         num_states = len(states)
-        max_branches = max(len(branches) for branches in table.values())
         entries = num_states * num_states
+        max_branches = max((len(branches) for branches in explicit.values()), default=1)
+        if max_branches == 1:
+            for (i, j), [(_, new_i, new_j)] in explicit.items():
+                probed.extend((i, j, new_i, new_j))
+        pairs_i, pairs_j, results_i, results_j = np.array(probed, dtype=np.int64).reshape(-1, 4).T
+        rows = pairs_i * num_states + pairs_j
 
         changes = np.zeros(entries, dtype=bool)
+        changes[rows] = (results_i != pairs_i) | (results_j != pairs_j)
         if max_branches == 1:
             result_initiator = np.empty(entries, dtype=np.int32)
             result_responder = np.empty(entries, dtype=np.int32)
+            result_initiator[rows] = results_i
+            result_responder[rows] = results_j
             branch_cumprob = None
-            for (i, j), branches in table.items():
-                row = i * num_states + j
-                _, new_i, new_j = branches[0]
-                result_initiator[row] = new_i
-                result_responder[row] = new_j
-                changes[row] = new_i != i or new_j != j
         else:
+            # A probed entry repeats its one outcome in every branch column.
             result_initiator = np.empty((entries, max_branches), dtype=np.int32)
             result_responder = np.empty((entries, max_branches), dtype=np.int32)
+            result_initiator[rows] = results_i[:, None]
+            result_responder[rows] = results_j[:, None]
             branch_cumprob = np.ones((entries, max_branches), dtype=np.float64)
-            for (i, j), branches in table.items():
+            for (i, j), branches in explicit.items():
                 row = i * num_states + j
                 cumulative = 0.0
                 for k in range(max_branches):

@@ -72,7 +72,9 @@ class RollCallProtocol(PopulationProtocol):
 
     def compiled_predicates(self):
         def all_rosters_full(counts, compiled):
-            incomplete = compiled.state_mask(lambda state: len(state.roster) < self.n)
+            incomplete = compiled.state_array(
+                "roster incomplete", lambda state: len(state.roster) < self.n
+            )
             return int(counts[incomplete].sum()) == 0
 
         return {"correct": all_rosters_full}
