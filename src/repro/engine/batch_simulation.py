@@ -226,9 +226,9 @@ class BatchSimulation(EngineCore):
         the recent fraction of active (state-changing) interactions:
 
         * *dense* -- most interactions change states, so ordering conflicts
-          are everywhere; truncate segments at the first repeated agent (the
-          birthday bound) with a cheap scatter/gather scan and chain segments
-          through the window.
+          are everywhere; cut the window into segments at repeated agents
+          (the birthday bound), all found by one scatter/gather scan of the
+          window, and chain the segments through it.
         * *sparse* -- most interactions are null; only agents of *active*
           pairs impose ordering, so segments run orders of magnitude past the
           birthday bound.
@@ -303,35 +303,48 @@ class BatchSimulation(EngineCore):
     ) -> int:
         """Consume the whole window by chaining agent-disjoint segments.
 
-        Each scan finds the first slot whose agent already appeared in the
-        current segment (scatter positions reversed so the first occurrence
-        wins, then compare the gather with each slot's own position), applies
-        the duplicate-free prefix in one shot, and restarts the scan at the
-        conflicting pair -- whose inputs are fresh once the prefix landed, so
-        nothing is discarded and every drawn pair is applied in order.
+        One scan finds every segment end.  A reversed scatter leaves each
+        agent's first pair position in the window, and the gather flags the
+        *repeats*: slots whose agent occurred in an earlier pair.  One pass
+        over the repeats, in slot order, then ends a segment at the first
+        repeat whose agent's *latest* earlier occurrence lies inside the
+        segment (an agent may occur three or more times, so its first
+        occurrence is not enough).  Each agent-disjoint segment is applied in
+        one shot; the next one starts at the conflicting pair, whose inputs
+        are fresh once the previous segment landed, so nothing is discarded
+        and every drawn pair is applied in order.
         """
         slots = np.empty(2 * window, dtype=np.int64)
         slots[0::2] = initiators
         slots[1::2] = responders
+        positions = self._slot_positions[: 2 * window]
+        _scatter_first(self._first_active, slots, positions, sentinel=window)
+        first_pair = self._first_active[slots]
+        repeats = np.flatnonzero(first_pair != positions)
+        ends = []
+        start = 0
+        latest: Dict[int, int] = {}
+        for slot, agent, first in zip(
+            repeats.tolist(), slots[repeats].tolist(), first_pair[repeats].tolist()
+        ):
+            pair = slot >> 1
+            if latest.get(agent, first) >= start:
+                # The segment's first pair is never a conflict (its agents'
+                # earlier occurrences precede it), so every segment advances.
+                ends.append(pair)
+                start = pair
+            latest[agent] = pair
+        ends.append(window)
+
         indices = self._indices
         compiled = self.compiled
         num_states = compiled.num_states
         changes = compiled.changes
-        buffer = self._first_active
         start = 0
-        while start < window:
-            rest = slots[2 * start :]
-            positions = self._slot_positions[: len(rest)]
-            _scatter_first(buffer, rest, positions, sentinel=window)
-            duplicate = buffer[rest] != positions
-            first = int(duplicate.argmax())
-            # The first pair of a segment can never be flagged (its agents'
-            # first occurrences are itself), so the segment always advances.
-            segment = (first >> 1) if duplicate[first] else window - start
-            end = start + segment
-
-            # Apply the agent-disjoint prefix in one shot.
-            gathered = indices[rest[: 2 * segment]]
+        for end in ends:
+            segment = end - start
+            targets = slots[2 * start : 2 * end]
+            gathered = indices[targets]
             rows = gathered[0::2] * num_states
             rows += gathered[1::2]
             mask = changes[rows]
@@ -341,11 +354,10 @@ class BatchSimulation(EngineCore):
                     # Most pairs change: apply everything unfiltered (null
                     # entries rewrite their own states, which is harmless on
                     # a duplicate-free segment).
-                    self._apply_packed(rest[: 2 * segment], rows)
+                    self._apply_packed(targets, rows)
                 else:
                     active = np.nonzero(mask)[0]
-                    targets = rest[: 2 * segment].reshape(-1, 2)[active].ravel()
-                    self._apply_packed(targets, rows[active])
+                    self._apply_packed(targets.reshape(-1, 2)[active].ravel(), rows[active])
             self._active_fraction += 0.1 * (changed / segment - self._active_fraction)
             self._window_ema += 0.25 * (segment - self._window_ema)
             start = end

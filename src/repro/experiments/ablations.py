@@ -30,12 +30,13 @@ from repro.engine.results import TrialStatistics
 from repro.engine.rng import spawn_rngs
 from repro.engine.run_config import RunConfig
 from repro.engine.simulation import Simulation
-from repro.experiments.api import experiment_runner, read_params
+from repro.experiments.api import experiment_runner, read_params, require_loop_engine
 
 
 @experiment_runner("ablation_dormancy")
 def run_dormancy_ablation(params: Mapping, run: RunConfig) -> List[Dict]:
     """Stabilization time of Optimal-Silent-SSR as a function of ``D_max / n``."""
+    require_loop_engine(run)
     opts = read_params(params, n=32, dmax_factors=(1.0, 2.0, 4.0, 8.0), trials=8)
     n, dmax_factors, trials = opts["n"], opts["dmax_factors"], opts["trials"]
     rows: List[Dict] = []
@@ -66,6 +67,7 @@ def run_dormancy_ablation(params: Mapping, run: RunConfig) -> List[Dict]:
 @experiment_runner("ablation_timer")
 def run_timer_ablation(params: Mapping, run: RunConfig) -> List[Dict]:
     """Collision-detection time of Sublinear-Time-SSR as a function of ``T_H``."""
+    require_loop_engine(run)
     opts = read_params(params, n=20, depth=1, timer_multipliers=(0.5, 2.0, 8.0), trials=8)
     n, depth, trials = opts["n"], opts["depth"], opts["trials"]
     timer_multipliers = opts["timer_multipliers"]
@@ -107,6 +109,7 @@ def run_timer_ablation(params: Mapping, run: RunConfig) -> List[Dict]:
 @experiment_runner("ablation_sync_range")
 def run_sync_range_ablation(params: Mapping, run: RunConfig) -> List[Dict]:
     """Collision-detection time as a function of ``S_max`` (0 = paper default 2 n^2)."""
+    require_loop_engine(run)
     opts = read_params(params, n=20, depth=1, sync_values=(2, 8, 0), trials=8)
     n, depth, trials = opts["n"], opts["depth"], opts["trials"]
     sync_values = opts["sync_values"]

@@ -46,6 +46,20 @@ def read_params(params: Mapping, **defaults) -> Dict:
     return merged
 
 
+def require_loop_engine(run: RunConfig) -> None:
+    """Refuse a table engine before any seeding.
+
+    Runners that build :class:`~repro.engine.simulation.Simulation` (or a
+    process simulator) themselves run on no other engine, so taking
+    ``--engine compiled|counts`` would record an engine that never ran.
+    """
+    if run.engine != "loop":
+        raise ValueError(
+            f"this experiment runs only on the loop engine, not {run.engine!r}; "
+            "try --engine loop"
+        )
+
+
 def experiment_runner(
     identifier: str,
 ) -> Callable[[Callable[[Mapping, RunConfig], List[Dict]]], Callable]:
@@ -98,4 +112,9 @@ def experiment_runner(
     return decorate
 
 
-__all__ = ["DEFAULT_EXPERIMENT_SEED", "experiment_runner", "read_params"]
+__all__ = [
+    "DEFAULT_EXPERIMENT_SEED",
+    "experiment_runner",
+    "read_params",
+    "require_loop_engine",
+]

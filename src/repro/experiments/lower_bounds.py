@@ -22,7 +22,7 @@ from repro.engine.results import TrialStatistics
 from repro.engine.rng import spawn_rngs
 from repro.engine.run_config import RunConfig
 from repro.engine.simulation import Simulation
-from repro.experiments.api import experiment_runner, read_params
+from repro.experiments.api import experiment_runner, read_params, require_loop_engine
 from repro.experiments.optimal_silent_experiments import PRACTICAL_CONSTANTS
 from repro.processes.coupon_collector import simulate_all_agents_interact
 from repro.processes.fratricide_process import simulate_fratricide_interactions
@@ -37,6 +37,7 @@ def run_silent_lower_bound(params: Mapping, run: RunConfig) -> List[Dict]:
     protocol resets.  The measured waiting time is compared against the
     Observation 2.6 lower bound of ``n / 3``.
     """
+    require_loop_engine(run)
     opts = read_params(params, ns=(16, 32, 64, 128), trials=20)
     ns, trials = opts["ns"], opts["trials"]
     rows: List[Dict] = []
@@ -76,6 +77,7 @@ def run_log_lower_bound(params: Mapping, run: RunConfig) -> List[Dict]:
     convergence time of the one-bit fratricide election from all leaders,
     showing that the bound is far from tight for that particular protocol.
     """
+    require_loop_engine(run)
     opts = read_params(params, ns=(64, 256, 1024), trials=100)
     ns, trials = opts["ns"], opts["trials"]
     rows: List[Dict] = []
@@ -112,6 +114,7 @@ def run_fratricide_failure(params: Mapping, run: RunConfig) -> List[Dict]:
     elect a leader; the run confirms zero leaders persist for the whole
     horizon, motivating the paper's reset-based constructions.
     """
+    require_loop_engine(run)
     opts = read_params(params, n=32, horizon_factor=50.0)
     n, horizon_factor = opts["n"], opts["horizon_factor"]
     protocol = FratricideLeaderElection(n)

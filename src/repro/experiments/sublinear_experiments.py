@@ -8,6 +8,9 @@
 * E10 (Lemmas 5.4 / 5.5, Figure 2): safety.  After a clean configuration no
   collision is ever falsely detected; adversarially corrupted history trees
   cause at most a bounded disruption and the protocol still stabilizes.
+
+History trees have no enumerable state space, so no table engine runs these
+experiments: they refuse ``--engine compiled|counts`` before any seeding.
 """
 
 from __future__ import annotations
@@ -23,20 +26,11 @@ from repro.engine.results import TrialStatistics
 from repro.engine.rng import spawn_rngs
 from repro.engine.run_config import RunConfig
 from repro.engine.simulation import Simulation
-from repro.experiments.api import experiment_runner, read_params
+from repro.experiments.api import experiment_runner, read_params, require_loop_engine
 
 #: Reduced reset constant used by default; the paper's R_max = 60 ln n adds a
 #: large additive overhead that hides the H-dependence at simulable sizes.
 PRACTICAL_RMAX_MULTIPLIER = 3.0
-
-
-def _require_loop_engine(run: RunConfig) -> None:
-    """History trees have no enumerable state space, so no table engine runs them."""
-    if run.engine != "loop":
-        raise ValueError(
-            f"Sublinear-Time-SSR runs only on the loop engine, not {run.engine!r}; "
-            "try --engine loop"
-        )
 
 
 def _make_protocol(
@@ -59,7 +53,7 @@ def run_sublinear_tradeoff(params: Mapping, run: RunConfig) -> List[Dict]:
 
     ``None`` in ``depths`` selects ``H = ceil(log2 n)`` (the O(log n) regime).
     """
-    _require_loop_engine(run)
+    require_loop_engine(run)
     opts = read_params(
         params,
         n=24,
@@ -115,7 +109,7 @@ def run_sublinear_tradeoff(params: Mapping, run: RunConfig) -> List[Dict]:
 @experiment_runner("sublinear_scaling")
 def run_sublinear_scaling(params: Mapping, run: RunConfig) -> List[Dict]:
     """E9 (companion): stabilization time vs ``n`` at a fixed depth ``H``."""
-    _require_loop_engine(run)
+    require_loop_engine(run)
     opts = read_params(
         params, ns=(8, 16, 32), depth=1, trials=8,
         rmax_multiplier=PRACTICAL_RMAX_MULTIPLIER,
@@ -162,7 +156,7 @@ def run_safety(params: Mapping, run: RunConfig) -> List[Dict]:
     where a bounded number of resets is allowed but the run must end
     stabilized again.
     """
-    _require_loop_engine(run)
+    require_loop_engine(run)
     opts = read_params(
         params, n=16, depth=2, horizon_factor=30.0, trials=5,
         rmax_multiplier=PRACTICAL_RMAX_MULTIPLIER,

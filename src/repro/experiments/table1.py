@@ -21,7 +21,7 @@ from repro.engine.results import TrialStatistics
 from repro.engine.rng import spawn_rngs
 from repro.engine.run_config import RunConfig
 from repro.engine.simulation import Simulation
-from repro.experiments.api import experiment_runner, read_params
+from repro.experiments.api import experiment_runner, read_params, require_loop_engine
 from repro.experiments.optimal_silent_experiments import PRACTICAL_CONSTANTS
 from repro.experiments.sublinear_experiments import PRACTICAL_RMAX_MULTIPLIER
 
@@ -113,6 +113,7 @@ def _measure_sublinear(n: int, trials: int, rng, depth: Optional[int]) -> Dict:
 @experiment_runner("table1")
 def run_table1(params: Mapping, run: RunConfig) -> List[Dict]:
     """Measure every Table 1 row for each population size in ``ns``."""
+    require_loop_engine(run)
     opts = read_params(
         params, ns=(16, 32), trials=5, paper_constants=False, sublinear_constant_depth=1
     )

@@ -1,5 +1,6 @@
 """Tests for the experiment registry and the CLI."""
 
+import importlib
 import re
 
 import pytest
@@ -108,6 +109,39 @@ class TestCli:
             raise AssertionError("a Simulation was constructed")
 
         monkeypatch.setattr(sublinear_experiments, "Simulation", no_simulation)
+        argv = ["run", identifier, "--engine", engine, "--scale", "quick", "--seed", "1"]
+        assert main(argv + ["--output", str(tmp_path)]) == 2
+        output = capsys.readouterr().out
+        assert output.startswith(f"error: {identifier}: ")
+        assert f"loop engine, not {engine!r}" in output and "try --engine loop" in output
+        assert "Traceback" not in output
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("engine", ["compiled", "counts"])
+    @pytest.mark.parametrize(
+        "module, identifier",
+        [
+            ("table1", "table1"),
+            ("ablations", "ablation_dormancy"),
+            ("ablations", "ablation_timer"),
+            ("ablations", "ablation_sync_range"),
+            ("lower_bounds", "silent_lower_bound"),
+            ("lower_bounds", "log_lower_bound"),
+            ("lower_bounds", "fratricide_failure"),
+        ],
+    )
+    def test_direct_loop_experiment_rejects_table_engine(
+        self, module, identifier, engine, capsys, monkeypatch, tmp_path
+    ):
+        """These runners seed and run loop simulations themselves: refuse a
+        table engine before seeding rather than record one that never ran."""
+        runner_module = importlib.import_module(f"repro.experiments.{module}")
+
+        def no_seeding(*args, **kwargs):
+            raise AssertionError("a trial was seeded or simulated")
+
+        monkeypatch.setattr(runner_module, "Simulation", no_seeding)
+        monkeypatch.setattr(runner_module, "spawn_rngs", no_seeding)
         argv = ["run", identifier, "--engine", engine, "--scale", "quick", "--seed", "1"]
         assert main(argv + ["--output", str(tmp_path)]) == 2
         output = capsys.readouterr().out

@@ -76,6 +76,39 @@ class TestRegistry:
         with pytest.raises(ValueError, match="sorted and unique"):
             MetricsRegistry().histogram("repro_h", "help", buckets=(3, 1, 2))
 
+    def test_repeated_calls_resolve_one_series_in_any_label_order(self):
+        registry = MetricsRegistry()
+        first = registry.counter("repro_x_total", "help", engine="loop", stage="a")
+        assert registry.counter("repro_x_total", "help", engine="loop", stage="a") is first
+        assert registry.counter("repro_x_total", "help", stage="a", engine="loop") is first
+        with pytest.raises(ValueError, match="already registered as counter"):
+            registry.gauge("repro_x_total", "help", engine="loop", stage="a")
+        histogram = registry.histogram("repro_h", "help", buckets=(1, 2), engine="loop")
+        assert registry.histogram("repro_h", "help", buckets=(1.0, 2.0), engine="loop") is histogram
+        with pytest.raises(ValueError, match="different buckets"):
+            registry.histogram("repro_h", "help", buckets=(1, 3), engine="loop")
+
+    def test_equal_label_values_of_different_types_stay_distinct(self):
+        registry = MetricsRegistry()
+        registry.counter("repro_x_total", "help", shard="1").inc()
+        registry.counter("repro_x_total", "help", shard=1.0).inc(2)
+        registry.counter("repro_x_total", "help", shard=1).inc(4)
+        registry.counter("repro_x_total", "help", shard=1).inc(8)
+        values = {
+            sample["labels"]["shard"]: sample["value"]
+            for sample in registry.snapshot()["samples"]
+        }
+        assert values == {"1": 13.0, "1.0": 2.0}
+
+    def test_reset_drops_registered_series(self):
+        registry = MetricsRegistry()
+        stale = registry.counter("repro_x_total", "help", engine="loop")
+        registry.reset()
+        fresh = registry.counter("repro_x_total", "help", engine="loop")
+        assert fresh is not stale
+        fresh.inc()
+        assert registry.snapshot()["samples"][0]["value"] == 1.0
+
 
 class TestSnapshotMerge:
     def test_counters_and_histograms_add_gauges_overwrite(self):
