@@ -245,6 +245,7 @@ class ResetWaveProtocol(PopulationProtocol):
     """
 
     name = "reset-wave"
+    symmetric_transition = True
 
     def __init__(self, n: int, rmax: Optional[int] = None, dmax: Optional[int] = None):
         super().__init__(n)

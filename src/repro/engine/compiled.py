@@ -166,6 +166,18 @@ def _probe(
     return first
 
 
+def _declares_symmetry(protocol: PopulationProtocol) -> bool:
+    """``symmetric_transition`` as declared alongside ``transition()``: the
+    first class in the MRO that sets either one decides, so an override of
+    ``transition()`` that does not re-declare the flag is not symmetric."""
+    for klass in type(protocol).__mro__:
+        if "symmetric_transition" in vars(klass):
+            return bool(klass.symmetric_transition)
+        if "transition" in vars(klass):
+            return False
+    return False
+
+
 class CompiledProtocol:
     """A protocol whose dynamics have been lowered to dense NumPy tables.
 
@@ -476,6 +488,17 @@ class ProtocolCompiler:
             getattr(protocol.transition_branches, "__func__", None)
             is not PopulationProtocol.transition_branches
         )
+        # A symmetric protocol probes only pairs with j >= i.  The mirror
+        # (j, i) of a skipped pair (i, j) came earlier in this loop order, in
+        # this round or an earlier one, and interned both outcome states, so
+        # skipping interns nothing the full loop would not: the state order
+        # is the same.
+        symmetric = _declares_symmetry(protocol)
+        if symmetric and explicit_hook:
+            raise CompilationError(
+                f"{protocol.name}: declares both symmetric_transition and "
+                "transition_branches(); symmetric tables are built by probing"
+            )
         probed: List[int] = []
         explicit: Dict[Tuple[int, int], List[Tuple[float, int, int]]] = {}
         closed = 0
@@ -483,7 +506,8 @@ class ProtocolCompiler:
             boundary = len(states)
             for i in range(boundary):
                 initiator = states[i]
-                for j in range(closed if i < closed else 0, boundary):
+                first = closed if i < closed else 0
+                for j in range(max(first, i) if symmetric else first, boundary):
                     responder = states[j]
                     branches = (
                         protocol.transition_branches(initiator.clone(), responder.clone())
@@ -497,10 +521,17 @@ class ProtocolCompiler:
                         protocol, initiator, responder, probes
                     )
                     new_i = intern(new_initiator, signature_i)
-                    probed.extend((i, j, new_i, intern(new_responder, signature_j)))
+                    new_j = intern(new_responder, signature_j)
+                    if symmetric and i == j and new_i != new_j:
+                        raise CompilationError(
+                            f"{protocol.name}: declares symmetric_transition, but "
+                            f"transition() of the pair {initiator!r}, {responder!r} "
+                            "leaves two different states"
+                        )
+                    probed.extend((i, j, new_i, new_j))
             closed = boundary
 
-        return self._tabulate(protocol, states, probed, explicit)
+        return self._tabulate(protocol, states, probed, explicit, symmetric)
 
     def _branches(
         self,
@@ -544,12 +575,15 @@ class ProtocolCompiler:
         states: List[AgentState],
         probed: List[int],
         explicit: Dict[Tuple[int, int], List[Tuple[float, int, int]]],
+        symmetric: bool,
     ) -> CompiledProtocol:
         """The dense arrays from the probed ``i, j, i', j'`` list and the
         declared branch lists.
 
         A table is single-branch unless some declared list has two branches
         or more; a declared single branch then keeps its own probability.
+        A ``symmetric`` table fills entry ``(j, i)`` of every probed
+        off-diagonal pair with ``j', i'``.
         """
         num_states = len(states)
         entries = num_states * num_states
@@ -558,6 +592,17 @@ class ProtocolCompiler:
             for (i, j), [(_, new_i, new_j)] in explicit.items():
                 probed.extend((i, j, new_i, new_j))
         pairs_i, pairs_j, results_i, results_j = np.array(probed, dtype=np.int64).reshape(-1, 4).T
+        if symmetric:
+            mirrored = pairs_i != pairs_j
+            pairs_i, pairs_j, results_i, results_j = [
+                np.concatenate((own, swapped[mirrored]))
+                for own, swapped in (
+                    (pairs_i, pairs_j),
+                    (pairs_j, pairs_i),
+                    (results_i, results_j),
+                    (results_j, results_i),
+                )
+            ]
         rows = pairs_i * num_states + pairs_j
 
         changes = np.zeros(entries, dtype=bool)

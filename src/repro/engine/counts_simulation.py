@@ -122,8 +122,9 @@ def active_pair_tables(compiled: CompiledProtocol) -> Dict[str, np.ndarray]:
         "y": y,
         "diagonal": (x == y).astype(np.float64),
         "num_branches": tables["probability"].shape[1],
-        # Output state of each side per flat (pair, branch), for dense_pair_terms.
-        "outputs": (tables["initiator"][rows].ravel(), tables["responder"][rows].ravel()),
+        # Output state of each side per (pair, branch): flattened over a
+        # subset of the pairs, the firsts and seconds of dense_pair_terms.
+        "outputs": (tables["initiator"][rows], tables["responder"][rows]),
     }
     if support["num_branches"] > 1:
         support["branch_pvals"] = tables["probability"][rows]

@@ -29,6 +29,15 @@ class PopulationProtocol(abc.ABC):
     #: Human-readable protocol name (used in reports and benchmarks).
     name: str = "population-protocol"
 
+    #: ``True`` when ``transition(b, a)`` always gives the outcome of
+    #: ``transition(a, b)`` with the two agents swapped.  The compiler then
+    #: probes each unordered state pair once and mirrors the other entry.  It
+    #: reads the declaration from the class that defines ``transition()``, so
+    #: a subclass that overrides ``transition()`` must re-declare it.
+    #: Randomized protocols that declare :meth:`transition_branches` cannot
+    #: declare it.
+    symmetric_transition: bool = False
+
     def __init__(self, n: int):
         if n < 2:
             raise ValueError(f"population size must be at least 2, got {n}")

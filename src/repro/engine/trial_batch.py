@@ -90,7 +90,10 @@ the exact ordered-pair law of :class:`CountsSimulation` frozen at the window
 start, evaluated over the *static* active state-pair support (empty cells
 carry zero probability, so one support table serves every trial), with the
 same drift-capped window sizing and matching-feasibility rejection --
-halving only the overdrawn trials' windows.
+halving only the overdrawn trials' windows.  The law lives in two buffers
+allocated once per run, and the draws run over the *drawable* pairs only:
+those some live trial can draw, plus the support's last pair, which keeps
+the generator stream of a draw over the whole support.
 """
 
 from __future__ import annotations
@@ -429,6 +432,11 @@ class CountsTrialBatchSimulation(TrialBatchCore):
         self._matrix = matrix.copy()
         self._support = active_pair_tables(compiled)
         self._applied = np.zeros(matrix.shape[0], dtype=np.int64)
+        # The window law and its scratch, K * T entries each, reused by every
+        # round (see _advance).
+        size = len(self._support["x"]) * matrix.shape[0]
+        self._law = np.empty(size)
+        self._scratch = np.empty(size)
 
     @property
     def count_rows(self) -> np.ndarray:
@@ -457,14 +465,36 @@ class CountsTrialBatchSimulation(TrialBatchCore):
         n = self.protocol.n
         rng = self.rng
         count = len(live)
+        pairs = len(x)
         cells = self._matrix[live].astype(np.float64)
-        # Frozen uniform law over the static active support:
-        # P[x, y] = c_x (c_y - [x = y]) / (n (n - 1)); empty cells
-        # contribute exactly zero, so the support needs no per-trial
-        # filtering.
-        probs = cells[:, x] * (cells[:, y] - support["diagonal"]) / (float(n) * float(n - 1))
-        np.maximum(probs, 0.0, out=probs)
-        total_active = probs.sum(axis=1)
+        # Frozen uniform law over the static active support, pair-major in
+        # the run's buffers: law[k, t] = c_x (c_y - [x = y]) / (n (n - 1))
+        # for pair k = (x, y) and live trial t.  Empty cells contribute
+        # exactly zero, so the support needs no per-trial filtering.
+        law = self._law[: pairs * count].reshape(pairs, count)
+        scratch = self._scratch[: pairs * count].reshape(pairs, count)
+        np.take(cells.T, x, axis=0, out=law, mode="clip")
+        np.take(cells.T, y, axis=0, out=scratch, mode="clip")
+        scratch -= support["diagonal"][:, None]
+        law *= scratch
+        law /= float(n) * float(n - 1)
+        np.maximum(law, 0.0, out=law)
+        # ``law.T`` is laid out as the gather ``cells[:, x]`` comes back
+        # (column-major), so each trial's total adds its terms in the same
+        # order: pairwise along a lone row, left to right for two or more.
+        total_active = law.T.sum(axis=1)
+
+        # Draws run over the drawable pairs only: those some live trial can
+        # draw (a nonzero row sum, as the law is never negative), and the
+        # last pair.  Generator.multinomial draws nothing for a
+        # zero-probability category and gives the last one the remainder,
+        # so dropping the other zero columns leaves the stream as it was.
+        weight = np.matmul(law, np.ones(count), out=self._scratch[:pairs])
+        if pairs:
+            weight[-1] = 1.0
+        drawable = np.flatnonzero(weight)
+        probs = law[drawable].T
+        x, y = x[drawable], y[drawable]
 
         # Drift-capped window per trial (same rule as CountsSimulation):
         # expected removals from any state stay below DEFAULT_DRIFT_CAP * count.
@@ -513,11 +543,10 @@ class CountsTrialBatchSimulation(TrialBatchCore):
             sample = sample[overdrawn]
 
         if support["num_branches"] > 1:
-            # Split each pair's events over its branches: (count, K, B).
-            events = rng.multinomial(events, support["branch_pvals"])
-        produced = pair_flows(
-            cells.shape, *dense_pair_terms(events, *support["outputs"], num_states)
-        )
+            # Split each drawable pair's events over its branches.
+            events = rng.multinomial(events, support["branch_pvals"][drawable])
+        outputs = [side[drawable].ravel() for side in support["outputs"]]
+        produced = pair_flows(cells.shape, *dense_pair_terms(events, *outputs, num_states))
         self._matrix[live] += produced - consumed
         self._applied[live] += windows
         if profile:

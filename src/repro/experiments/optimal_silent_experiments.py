@@ -26,7 +26,7 @@ from repro.engine.results import TrialStatistics
 from repro.engine.rng import spawn_rngs
 from repro.engine.run_config import RunConfig
 from repro.engine.simulation import Simulation
-from repro.experiments.api import experiment_runner, read_params
+from repro.experiments.api import experiment_runner, read_params, require_loop_engine
 from repro.experiments.harness import measure_parallel_times
 
 #: Reduced constants that keep small-n simulations representative of the
@@ -149,6 +149,7 @@ def run_propagate_reset(params: Mapping, run: RunConfig) -> List[Dict]:
     Corollary 3.5 rather than the deliberately long Theta(n) dormancy of
     ``Optimal-Silent-SSR``.
     """
+    require_loop_engine(run)
     opts = read_params(params, ns=(16, 32, 64, 128), trials=20, rmax_multiplier=4.0)
     ns, trials = opts["ns"], opts["trials"]
     rmax_multiplier = opts["rmax_multiplier"]

@@ -17,7 +17,7 @@ from repro.core.silent_n_state import SilentNStateSSR
 from repro.core.sublinear import SublinearTimeSSR
 from repro.engine.rng import spawn_rngs
 from repro.engine.run_config import RunConfig
-from repro.experiments.api import experiment_runner, read_params
+from repro.experiments.api import experiment_runner, read_params, require_loop_engine
 from repro.experiments.optimal_silent_experiments import PRACTICAL_CONSTANTS
 from repro.experiments.sublinear_experiments import PRACTICAL_RMAX_MULTIPLIER
 
@@ -25,6 +25,7 @@ from repro.experiments.sublinear_experiments import PRACTICAL_RMAX_MULTIPLIER
 @experiment_runner("state_complexity")
 def run_state_space(params: Mapping, run: RunConfig) -> List[Dict]:
     """Observed distinct states per protocol, per population size."""
+    require_loop_engine(run)
     opts = read_params(params, ns=(8, 16, 32), interactions_factor=30, sublinear_depth=1)
     ns, interactions_factor = opts["ns"], opts["interactions_factor"]
     sublinear_depth = opts["sublinear_depth"]

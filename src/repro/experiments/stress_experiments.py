@@ -194,18 +194,24 @@ def run_recovery_scheduler(params: Mapping, run: RunConfig) -> List[Dict]:
         ),
     )
     seed = _base_seed(run)
+    # Every row's config is built (and validated) before the first row runs,
+    # so an engine that cannot run one of the schedulers fails up front.
+    configs = [
+        run.replace(
+            # crc32, not hash(): str hashing is salted per process, which
+            # would break same-seed reproducibility across runs.
+            seed=(seed, n, zlib.crc32(name.encode()) % (2**16)),
+            faults=plan,
+            scheduler=spec,
+        )
+        for name, spec in schedulers
+    ]
     rows: List[Dict] = []
-    for name, spec in schedulers:
+    for (name, spec), config in zip(schedulers, configs):
         results = run_trials(
             protocol_factory=lambda: make_stress_protocol(opts["protocol"], n),
             trials=trials,
-            run=run.replace(
-                # crc32, not hash(): str hashing is salted per process, which
-                # would break same-seed reproducibility across runs.
-                seed=(seed, n, zlib.crc32(name.encode()) % (2**16)),
-                faults=plan,
-                scheduler=spec,
-            ),
+            run=config,
         )
         rows.append(
             _recovery_row(

@@ -17,12 +17,13 @@ from repro.derandomize.synthetic_coin import (
 from repro.engine.rng import spawn_rngs
 from repro.engine.run_config import RunConfig
 from repro.engine.simulation import Simulation
-from repro.experiments.api import experiment_runner, read_params
+from repro.experiments.api import experiment_runner, read_params, require_loop_engine
 
 
 @experiment_runner("synthetic_coin")
 def run_synthetic_coin(params: Mapping, run: RunConfig) -> List[Dict]:
     """Bias and harvesting rate of the time-multiplexed synthetic coin."""
+    require_loop_engine(run)
     opts = read_params(params, ns=(16, 64, 256), bits_needed=16)
     ns, bits_needed = opts["ns"], opts["bits_needed"]
     rows: List[Dict] = []

@@ -36,6 +36,7 @@ class BoundedEpidemicProtocol(PopulationProtocol):
     """Agent-level bounded epidemic: ``level <- min(own, other + 1)`` both ways."""
 
     name = "bounded-epidemic"
+    symmetric_transition = True
 
     def __init__(self, n: int, source: int = 0, target: int = 1, k: int = 1):
         super().__init__(n)

@@ -33,6 +33,7 @@ class TwoWayEpidemicProtocol(PopulationProtocol):
     """Agent-level two-way epidemic: ``a.infected, b.infected <- a or b``."""
 
     name = "two-way-epidemic"
+    symmetric_transition = True
 
     def __init__(self, n: int, initially_infected: int = 1):
         super().__init__(n)

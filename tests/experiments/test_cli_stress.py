@@ -73,6 +73,23 @@ class TestStressCommand:
         assert "error: recovery_scheduler:" in output
         assert "epoch-partition scheduler" in output
 
+    def test_unsupported_scheduler_row_is_refused_before_any_row_runs(
+        self, capsys, monkeypatch
+    ):
+        # The epoch row is the last of three: the uniform and biased rows
+        # must not simulate before it is refused.
+        from repro.experiments import stress_experiments
+
+        def no_trials(*args, **kwargs):
+            raise AssertionError("run_trials was called")
+
+        monkeypatch.setattr(stress_experiments, "run_trials", no_trials)
+        code = main(["stress", "recovery_scheduler", "--engine", "counts"] + FAST_ARGS)
+        output = capsys.readouterr().out
+        assert code == 2
+        assert output.startswith("error: recovery_scheduler:")
+        assert "Traceback" not in output
+
 
 class TestStressByzantine:
     def test_byzantine_flag_selects_the_byzantine_families(self, capsys):

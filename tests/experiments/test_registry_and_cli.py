@@ -128,6 +128,9 @@ class TestCli:
             ("lower_bounds", "silent_lower_bound"),
             ("lower_bounds", "log_lower_bound"),
             ("lower_bounds", "fratricide_failure"),
+            ("synthetic_coin_experiments", "synthetic_coin"),
+            ("state_space_experiments", "state_complexity"),
+            ("optimal_silent_experiments", "propagate_reset"),
         ],
     )
     def test_direct_loop_experiment_rejects_table_engine(
@@ -140,8 +143,11 @@ class TestCli:
         def no_seeding(*args, **kwargs):
             raise AssertionError("a trial was seeded or simulated")
 
-        monkeypatch.setattr(runner_module, "Simulation", no_seeding)
         monkeypatch.setattr(runner_module, "spawn_rngs", no_seeding)
+        # state_complexity counts states through a helper, without a Simulation
+        # of its own; every other runner here builds one.
+        if identifier != "state_complexity":
+            monkeypatch.setattr(runner_module, "Simulation", no_seeding)
         argv = ["run", identifier, "--engine", engine, "--scale", "quick", "--seed", "1"]
         assert main(argv + ["--output", str(tmp_path)]) == 2
         output = capsys.readouterr().out
