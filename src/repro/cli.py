@@ -138,9 +138,10 @@ def _build_parser() -> argparse.ArgumentParser:
         dest="trial_batch",
         help=(
             "trials advanced together by one trial-batched engine instance "
-            "(default: 1 = per-trial); requires --engine compiled or counts, "
-            "composes with --jobs (each worker runs whole batches), and "
-            "compiled-engine results stay bit-identical for any value"
+            "(default: 1 = per-trial); requires --engine compiled or counts and "
+            "composes with --jobs (each worker runs whole batches); compiled-engine "
+            "results are bit-identical for any value >= 2, while 1 runs the "
+            "per-trial engine, another stream with the same law"
         ),
     )
     run_parser.add_argument(

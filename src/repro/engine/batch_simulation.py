@@ -48,9 +48,7 @@ from repro.engine.compiled import CompiledProtocol, ProtocolCompiler, table_for
 from repro.engine.configuration import Configuration
 from repro.engine.core import EngineCore
 from repro.engine.protocol import PopulationProtocol
-from repro.engine.results import SimulationResult
 from repro.engine.rng import RngLike, make_rng
-from repro.engine.run_config import RunConfig
 from repro.engine.scheduler import PairScheduler, UniformPairScheduler
 from repro.telemetry import metrics as _metrics
 
@@ -143,22 +141,10 @@ class BatchSimulation(EngineCore):
 
         n = protocol.n
         if indices is not None:
-            indices = np.asarray(indices)
-            if indices.shape != (n,):
-                raise ValueError(f"indices must have shape ({n},), got {indices.shape}")
-            if len(indices) and (
-                int(indices.min()) < 0 or int(indices.max()) >= compiled.num_states
-            ):
-                raise ValueError("state indices out of range for the compiled state space")
-            self._indices = indices.astype(np.int32, copy=True)
+            self._indices = compiled.checked_indices(indices, (n,))
         else:
             if configuration is None:
                 configuration = protocol.initial_configuration(self.rng)
-            if len(configuration) != n:
-                raise ValueError(
-                    f"configuration has {len(configuration)} agents but protocol "
-                    f"expects {n}"
-                )
             self._indices = compiled.encode_configuration(configuration)
 
         if scheduler is not None and scheduler.n != n:
@@ -181,8 +167,9 @@ class BatchSimulation(EngineCore):
         self._slot_positions = np.arange(2 * MAX_WINDOW, dtype=np.int64) >> 1
         self._counts: Optional[np.ndarray] = None
 
-    # perfbench's tracer wraps run_until per engine class through
-    # ``vars(cls)``, so it is bound here rather than only inherited.
+    # perfbench's tracer wraps run and run_until per engine class through
+    # ``vars(cls)``, so they are bound here rather than only inherited.
+    run = EngineCore.run
     run_until = EngineCore.run_until
 
     # -- views ----------------------------------------------------------------------
@@ -212,15 +199,8 @@ class BatchSimulation(EngineCore):
         self._apply_scalar(initiator, responder)
         self.interactions += 1
 
-    def run(self, num_interactions) -> Optional[SimulationResult]:
-        """Execute a :class:`RunConfig` plan, or exactly ``n`` interactions, batched.
-
-        Passing a :class:`~repro.engine.run_config.RunConfig` runs until the
-        configured stop condition (or cap) and returns the
-        :class:`SimulationResult` -- the same polymorphic entry point as
-        :class:`~repro.engine.simulation.Simulation`, so harness code is
-        engine-agnostic.  Passing an integer executes exactly that many
-        interactions (returns ``None``).
+    def _steps(self, num_interactions: int) -> None:
+        """Execute exactly ``num_interactions`` interactions, batched.
 
         Each drawn window is consumed by one of two exact paths, selected by
         the recent fraction of active (state-changing) interactions:
@@ -233,12 +213,6 @@ class BatchSimulation(EngineCore):
           pairs impose ordering, so segments run orders of magnitude past the
           birthday bound.
         """
-        if isinstance(num_interactions, RunConfig):
-            return self._run_plan(num_interactions)
-        if num_interactions < 0:
-            raise ValueError(
-                f"num_interactions must be non-negative, got {num_interactions}"
-            )
         remaining = num_interactions
         profile = _metrics._PROFILING
         while remaining > 0:
@@ -272,7 +246,6 @@ class BatchSimulation(EngineCore):
                 _metrics.record_window("compiled", applied)
             self.interactions += applied
             remaining -= applied
-        return None
 
     def _install_byzantine(self, spec):
         """Swap in the extended table and re-tag the selected agents.
@@ -592,22 +565,15 @@ class BatchSimulation(EngineCore):
     def restore_checkpoint_state(self, payload: Dict) -> None:
         """Inverse of :meth:`checkpoint_state` (validates shape and ranges)."""
         generator_state = self._check_checkpoint(payload)
-        indices = self.decode_state_vector(payload["indices"])
-        n = self.protocol.n
-        if indices.shape != (n,):
-            raise ValueError(
-                f"checkpoint indices must have shape ({n},), got {indices.shape}"
-            )
-        if len(indices) and (
-            int(indices.min()) < 0 or int(indices.max()) >= self.compiled.num_states
-        ):
-            raise ValueError("checkpoint state indices out of range for the compiled table")
+        indices = self.compiled.checked_indices(
+            self.decode_state_vector(payload["indices"]), (self.protocol.n,)
+        )
         if payload["max_window"] != MAX_WINDOW:
             raise ValueError(
                 f"checkpoint max_window {payload['max_window']!r} is not the "
                 f"engine's MAX_WINDOW {MAX_WINDOW}"
             )
-        self._indices = indices.astype(np.int32, copy=True)
+        self._indices = indices
         self.interactions = int(payload["interactions"])
         self._window_ema = float(payload["window_ema"])
         self._active_fraction = float(payload["active_fraction"])

@@ -304,6 +304,37 @@ class CompiledProtocol:
         """Histogram of state indices (length ``S``)."""
         return np.bincount(indices, minlength=self.num_states)
 
+    # -- start-state checks (the table engines' constructors and restores) ------------
+
+    def checked_indices(self, indices, shape: Tuple[int, ...]) -> np.ndarray:
+        """A fresh ``int32`` copy of ``indices``, checked for ``shape`` and range."""
+        indices = np.asarray(indices)
+        if indices.shape != shape:
+            raise ValueError(f"indices must have shape {shape}, got {indices.shape}")
+        if indices.size and (int(indices.min()) < 0 or int(indices.max()) >= self.num_states):
+            raise ValueError("state indices out of range for the compiled state space")
+        return indices.astype(np.int32)
+
+    def checked_counts(self, counts, rows: Tuple[int, ...] = ()) -> np.ndarray:
+        """A fresh ``int64`` copy of ``counts``: integers of shape ``rows + (S,)``,
+        non-negative, every row summing to the population size."""
+        raw = np.asarray(counts)
+        checked = raw.astype(np.int64)
+        shape = rows + (self.num_states,)
+        if checked.shape != shape or not np.array_equal(checked, raw):
+            raise ValueError(
+                f"counts must be integers of shape {shape}, got {raw.shape} dtype {raw.dtype}"
+            )
+        if checked.min(initial=0) < 0:
+            raise ValueError("counts must be non-negative")
+        sums = checked.sum(axis=-1)
+        if np.any(sums != self.protocol.n):
+            raise ValueError(
+                f"counts must sum to the population size {self.protocol.n}, "
+                f"got {sums.tolist()}"
+            )
+        return checked
+
     def state_array(
         self, key: Hashable, value: Callable[[AgentState], object], dtype=bool
     ) -> np.ndarray:

@@ -14,8 +14,8 @@ overlay, fault timeline).
 
 An engine implements only what differs:
 
-* ``run(k)`` -- advance exactly ``k`` interactions, and hand a ``RunConfig``
-  to :meth:`EngineCore._run_plan`;
+* ``_steps(k)`` -- advance exactly ``k`` interactions (:meth:`EngineCore.run`
+  checks ``k`` and hands a ``RunConfig`` to :meth:`EngineCore._run_plan`);
 * ``_install_byzantine(spec)`` -- re-seat its state on the overlay and return
   it (the core guards "already installed" and "before any interaction");
 * ``_install_scheduler(spec)`` and ``_apply_fault_event(campaign, index)``
@@ -208,6 +208,23 @@ class EngineCore:
         return self._run_until_kind("silent", kwargs)
 
     # -- plan execution ---------------------------------------------------------
+
+    def run(self, num_interactions) -> Optional[SimulationResult]:
+        """Execute a :class:`RunConfig` plan, or exactly ``num_interactions``.
+
+        Passing a :class:`~repro.engine.run_config.RunConfig` runs until the
+        configured stop condition (or cap) and returns the
+        :class:`SimulationResult` -- the one entry point of every engine, so
+        harness code never dispatches on the engine or the stop condition.
+        Passing an integer executes exactly that many interactions through
+        the engine's ``_steps`` and returns ``None``.
+        """
+        if isinstance(num_interactions, RunConfig):
+            return self._run_plan(num_interactions)
+        if num_interactions < 0:
+            raise ValueError(f"num_interactions must be non-negative, got {num_interactions}")
+        self._steps(num_interactions)
+        return None
 
     def _run_plan(self, config: RunConfig) -> SimulationResult:
         """Run until ``config.stop`` holds, honouring the config's caps.

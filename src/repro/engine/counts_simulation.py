@@ -77,9 +77,8 @@ from repro.engine.compiled import CompiledProtocol, ProtocolCompiler, _as_raw_ta
 from repro.engine.configuration import Configuration
 from repro.engine.core import EngineCore
 from repro.engine.protocol import PopulationProtocol
-from repro.engine.results import SimulationResult
 from repro.engine.rng import RngLike, make_rng
-from repro.engine.run_config import COUNTS_EPOCH_MESSAGE, RunConfig
+from repro.engine.run_config import COUNTS_EPOCH_MESSAGE
 from repro.telemetry import metrics as _metrics
 
 #: Bound on the expected fraction of a cell's count consumed by one window
@@ -216,53 +215,20 @@ class CountsSimulation(EngineCore):
             raise ValueError("the counts engine needs a population of at least 2")
         self.protocol = protocol
         self.rng = make_rng(rng)
-        self.compiled = compiled = table_for(protocol, compiled, compiler)
-
-        tables = _as_raw_tables(compiled)
-        self._branch_initiator = tables["initiator"]
-        self._branch_responder = tables["responder"]
-        self._branch_probability = tables["probability"]
-        self._num_branches = self._branch_probability.shape[1]
+        compiled = table_for(protocol, compiled, compiler)
+        self._load_table(compiled)
         num_states = compiled.num_states
-        self._changes = compiled.changes.reshape(num_states, num_states)
 
         n = protocol.n
         self._seed_indices: Optional[np.ndarray] = None
         if counts is not None:
-            raw = np.asarray(counts)
-            counts = raw.astype(np.int64)
-            if counts.shape != (num_states,) or not np.array_equal(counts, raw):
-                raise ValueError(
-                    f"counts must be an integer vector of shape ({num_states},), "
-                    f"got {raw.shape} dtype {raw.dtype}"
-                )
-            if counts.min(initial=0) < 0:
-                raise ValueError("counts must be non-negative")
-            if int(counts.sum()) != n:
-                raise ValueError(
-                    f"counts sum to {int(counts.sum())}, expected population size {n}"
-                )
-            self._matrix = counts.reshape(1, -1).copy()
+            self._matrix = compiled.checked_counts(counts).reshape(1, -1)
         else:
             if indices is not None:
-                indices = np.asarray(indices)
-                if indices.shape != (n,):
-                    raise ValueError(f"indices must have shape ({n},), got {indices.shape}")
-                if len(indices) and (
-                    int(indices.min()) < 0 or int(indices.max()) >= num_states
-                ):
-                    raise ValueError(
-                        "state indices out of range for the compiled state space"
-                    )
-                indices = indices.astype(np.int32, copy=True)
+                indices = compiled.checked_indices(indices, (n,))
             else:
                 if configuration is None:
                     configuration = protocol.initial_configuration(self.rng)
-                if len(configuration) != n:
-                    raise ValueError(
-                        f"configuration has {len(configuration)} agents but protocol "
-                        f"expects {n}"
-                    )
                 indices = compiled.encode_configuration(configuration)
             self._seed_indices = indices
             self._matrix = np.bincount(indices, minlength=num_states).reshape(1, -1)
@@ -276,6 +242,17 @@ class CountsSimulation(EngineCore):
         self.window_log: Optional[List[Dict]] = [] if record_windows else None
         if scheduler_spec is not None:
             self._install_scheduler(scheduler_spec)
+
+    def _load_table(self, compiled: CompiledProtocol) -> None:
+        """Run on ``compiled``: its branch tables and ``(S, S)`` changes mask."""
+        self.compiled = compiled
+        tables = _as_raw_tables(compiled)
+        self._branch_initiator = tables["initiator"]
+        self._branch_responder = tables["responder"]
+        self._branch_probability = tables["probability"]
+        self._num_branches = self._branch_probability.shape[1]
+        num_states = compiled.num_states
+        self._changes = compiled.changes.reshape(num_states, num_states)
 
     # -- views ----------------------------------------------------------------------
 
@@ -420,16 +397,7 @@ class CountsSimulation(EngineCore):
         matrix[1, start:start + num_base] = marked
         self._matrix = matrix
         self._class_weights = np.ones(2)
-        self.compiled = overlay.compiled
-
-        tables = _as_raw_tables(overlay.compiled)
-        self._branch_initiator = tables["initiator"]
-        self._branch_responder = tables["responder"]
-        self._branch_probability = tables["probability"]
-        self._num_branches = self._branch_probability.shape[1]
-        num_states = overlay.compiled.num_states
-        self._changes = overlay.compiled.changes.reshape(num_states, num_states)
-
+        self._load_table(overlay.compiled)
         self._seed_indices = None
         self._law_cache = None
         self._structure_cache = None
@@ -664,27 +632,13 @@ class CountsSimulation(EngineCore):
         """Execute a single interaction (the exact window = 1 law)."""
         self.run(1)
 
-    def run(self, num_interactions) -> Optional[SimulationResult]:
-        """Execute a :class:`RunConfig` plan, or exactly ``n`` interactions.
-
-        The polymorphic entry point shared with the other engines: passing a
-        :class:`~repro.engine.run_config.RunConfig` runs until the configured
-        stop condition (or cap) and returns the :class:`SimulationResult`;
-        passing an integer executes exactly that many interactions (null
-        draws included) and returns ``None``.
-        """
-        if isinstance(num_interactions, RunConfig):
-            return self._run_plan(num_interactions)
-        if num_interactions < 0:
-            raise ValueError(
-                f"num_interactions must be non-negative, got {num_interactions}"
-            )
+    def _steps(self, num_interactions: int) -> None:
+        """Execute exactly ``num_interactions`` interactions, null draws included."""
         remaining = int(num_interactions)
         while remaining > 0:
             consumed = self._advance(remaining)
             self.interactions += consumed
             remaining -= consumed
-        return None
 
     # -- faults ----------------------------------------------------------------------
 
@@ -757,26 +711,14 @@ class CountsSimulation(EngineCore):
     def restore_checkpoint_state(self, payload: Dict) -> None:
         """Inverse of :meth:`checkpoint_state` (validates shape and sums)."""
         generator_state = self._check_checkpoint(payload)
-        counts = np.asarray(payload["counts"], dtype=np.int64)
-        num_states = self.compiled.num_states
-        if counts.shape != (num_states,):
-            raise ValueError(
-                f"checkpoint counts must have shape ({num_states},), got {counts.shape}"
-            )
-        if counts.min(initial=0) < 0:
-            raise ValueError("checkpoint counts must be non-negative")
-        if int(counts.sum()) != self.protocol.n:
-            raise ValueError(
-                f"checkpoint counts sum to {int(counts.sum())}, expected "
-                f"population size {self.protocol.n}"
-            )
+        counts = self.compiled.checked_counts(payload["counts"])
         if payload["drift_cap"] != DEFAULT_DRIFT_CAP or payload["max_window"] is not None:
             raise ValueError(
                 f"checkpoint window sizing (drift_cap={payload['drift_cap']!r}, "
                 f"max_window={payload['max_window']!r}) is not the engine's "
                 f"(drift_cap={DEFAULT_DRIFT_CAP!r}, max_window=None)"
             )
-        self._matrix = counts.reshape(1, -1).copy()
+        self._matrix = counts.reshape(1, -1)
         self.interactions = int(payload["interactions"])
         self.rng.bit_generator.state = generator_state
         self._law_cache = None

@@ -77,9 +77,10 @@ class RunConfig:
         per-trial path; larger values make :func:`~repro.experiments.harness.
         run_trials` slice the trial list into batches of this size (each
         worker process runs whole batches, so ``trial_batch`` composes with
-        ``jobs``).  Compiled-engine results stay bit-identical for every
-        value; counts-engine results are deterministic per
-        ``(seed, trial_batch)`` but follow the same law (see the module
+        ``jobs``).  Compiled-engine results are bit-identical for every value
+        of at least 2; ``1`` runs the per-trial engine, another stream with
+        the same law.  Counts-engine results are deterministic per
+        ``(seed, trial_batch)`` and follow the same law (see the module
         docstring of :mod:`repro.engine.trial_batch`).  The loop engine has
         no batched form, so ``trial_batch > 1`` with it is an error.
     faults:

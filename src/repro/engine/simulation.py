@@ -22,9 +22,7 @@ from repro.engine.configuration import Configuration
 from repro.engine.core import DEFAULT_CAP_CUBIC_FACTOR, EngineCore
 from repro.engine.hooks import InteractionHook
 from repro.engine.protocol import PopulationProtocol
-from repro.engine.results import SimulationResult
 from repro.engine.rng import RngLike, make_rng
-from repro.engine.run_config import RunConfig
 from repro.engine.scheduler import PairScheduler, UniformPairScheduler
 from repro.telemetry import metrics as _metrics
 
@@ -64,8 +62,9 @@ class Simulation(EngineCore):
         self.hooks: List[InteractionHook] = list(hooks) if hooks else []
         self.interactions = 0
 
-    # perfbench's tracer wraps run_until per engine class through
-    # ``vars(cls)``, so it is bound here rather than only inherited.
+    # perfbench's tracer wraps run and run_until per engine class through
+    # ``vars(cls)``, so they are bound here rather than only inherited.
+    run = EngineCore.run
     run_until = EngineCore.run_until
 
     # -- basic stepping -----------------------------------------------------------
@@ -79,21 +78,9 @@ class Simulation(EngineCore):
         for hook in self.hooks:
             hook.on_interaction(self.interactions, initiator_id, responder_id, self.configuration)
 
-    def run(self, num_interactions) -> Optional[SimulationResult]:
-        """Execute a :class:`RunConfig` plan, or exactly ``n`` interactions.
-
-        Passing a :class:`~repro.engine.run_config.RunConfig` runs until the
-        configured stop condition (or cap) and returns the
-        :class:`SimulationResult` -- the polymorphic entry point shared with
-        the table engines, so harness code never dispatches on the stop
-        condition by hand.  Passing an integer keeps the historical
-        exact-step behaviour (returns ``None``); each such call counts as one
-        loop-engine window in telemetry.
-        """
-        if isinstance(num_interactions, RunConfig):
-            return self._run_plan(num_interactions)
-        if num_interactions < 0:
-            raise ValueError(f"num_interactions must be non-negative, got {num_interactions}")
+    def _steps(self, num_interactions: int) -> None:
+        """Execute exactly ``num_interactions`` interactions; each call counts
+        as one loop-engine window in telemetry."""
         profile = _metrics._PROFILING
         marker = time.perf_counter() if profile else 0.0
         # Local-variable binding keeps the hot loop as tight as pure Python allows.
@@ -119,7 +106,6 @@ class Simulation(EngineCore):
         # The loop engine has no windows; count each run(k) as one.
         if _metrics._ENABLED:
             _metrics.record_window("loop", num_interactions)
-        return None
 
     # -- what differs from the table engines ----------------------------------------
 

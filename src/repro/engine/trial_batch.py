@@ -203,16 +203,7 @@ class TrialBatchSimulation(TrialBatchCore):
             indices = np.stack(
                 [compiled.encode_configuration(c) for c in configurations]
             )
-        indices = np.asarray(indices)
-        if indices.shape != (trials, n):
-            raise ValueError(
-                f"indices must have shape ({trials}, {n}), got {indices.shape}"
-            )
-        if indices.size and (
-            int(indices.min()) < 0 or int(indices.max()) >= compiled.num_states
-        ):
-            raise ValueError("state indices out of range for the compiled state space")
-        self._states = indices.astype(np.int32).reshape(-1).copy()
+        self._states = compiled.checked_indices(indices, (trials, n)).reshape(-1)
 
         # Per-trial pair buffers, refilled lazily so a trial's draw count
         # depends only on its own consumption (the bit-identity contract).
@@ -411,25 +402,9 @@ class CountsTrialBatchSimulation(TrialBatchCore):
         self.rng = make_rng(rng)
         self.compiled = compiled = table_for(protocol, compiled, compiler)
 
-        raw = np.asarray(counts)
-        matrix = raw.astype(np.int64)
-        num_states = compiled.num_states
-        if matrix.ndim != 2 or matrix.shape[1] != num_states or not np.array_equal(matrix, raw):
-            raise ValueError(
-                f"counts must be an integer matrix of shape (T, {num_states}), "
-                f"got {raw.shape} dtype {raw.dtype}"
-            )
+        self._matrix = matrix = compiled.checked_counts(counts, np.shape(counts)[:1])
         if matrix.shape[0] < 1:
             raise ValueError("need at least one trial row")
-        if matrix.min(initial=0) < 0:
-            raise ValueError("counts must be non-negative")
-        sums = matrix.sum(axis=1)
-        if not np.all(sums == protocol.n):
-            raise ValueError(
-                f"every counts row must sum to the population size {protocol.n}; "
-                f"got row sums {sums.tolist()}"
-            )
-        self._matrix = matrix.copy()
         self._support = active_pair_tables(compiled)
         self._applied = np.zeros(matrix.shape[0], dtype=np.int64)
         # The window law and its scratch, K * T entries each, reused by every

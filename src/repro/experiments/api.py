@@ -60,6 +60,26 @@ def require_loop_engine(run: RunConfig) -> None:
         )
 
 
+def experiment_result(
+    identifier: str, rows, config: RunConfig, wall_time: float
+) -> ExperimentResult:
+    """``rows`` as an :class:`ExperimentResult` stamped with the provenance of
+    ``config`` (its seed only when it is an integer) and ``wall_time``."""
+    return ExperimentResult(
+        identifier=identifier,
+        rows=list(rows),
+        seed=config.seed if isinstance(config.seed, int) else None,
+        engine=config.engine,
+        stop=config.stop,
+        jobs=config.jobs,
+        trial_batch=config.trial_batch,
+        faults=config.faults.to_dict() if config.faults is not None else None,
+        scheduler=config.scheduler.to_dict() if config.scheduler is not None else None,
+        byzantine=config.byzantine.to_dict() if config.byzantine is not None else None,
+        wall_time=wall_time,
+    )
+
+
 def experiment_runner(
     identifier: str,
 ) -> Callable[[Callable[[Mapping, RunConfig], List[Dict]]], Callable]:
@@ -86,24 +106,7 @@ def experiment_runner(
             config = run if run is not None else RunConfig(seed=DEFAULT_EXPERIMENT_SEED)
             started = time.perf_counter()
             rows = fn(dict(params or {}), config)
-            wall_time = time.perf_counter() - started
-            return ExperimentResult(
-                identifier=identifier,
-                rows=rows,
-                seed=config.seed if isinstance(config.seed, int) else None,
-                engine=config.engine,
-                stop=config.stop,
-                jobs=config.jobs,
-                trial_batch=config.trial_batch,
-                faults=config.faults.to_dict() if config.faults is not None else None,
-                scheduler=(
-                    config.scheduler.to_dict() if config.scheduler is not None else None
-                ),
-                byzantine=(
-                    config.byzantine.to_dict() if config.byzantine is not None else None
-                ),
-                wall_time=wall_time,
-            )
+            return experiment_result(identifier, rows, config, time.perf_counter() - started)
 
         wrapper.experiment_identifier = identifier
         wrapper.__wrapped__ = fn
@@ -114,6 +117,7 @@ def experiment_runner(
 
 __all__ = [
     "DEFAULT_EXPERIMENT_SEED",
+    "experiment_result",
     "experiment_runner",
     "read_params",
     "require_loop_engine",

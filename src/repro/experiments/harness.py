@@ -27,7 +27,7 @@ import warnings
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,10 +36,10 @@ from repro.engine.configuration import Configuration
 from repro.engine.core import unbatchable_reason
 from repro.engine.protocol import PopulationProtocol
 from repro.engine.results import SimulationResult, TrialStatistics
-from repro.engine.rng import RngLike, batch_seed_sequence, spawn_seed_sequences
+from repro.engine.rng import batch_seed_sequence, spawn_seed_sequences
 from repro.engine.run_config import ENGINES, STOPS, RunConfig, make_simulation
 from repro.engine.trial_batch import CountsTrialBatchSimulation, TrialBatchSimulation
-from repro.experiments.api import DEFAULT_EXPERIMENT_SEED
+from repro.experiments.api import DEFAULT_EXPERIMENT_SEED, experiment_result
 from repro.experiments.result import ExperimentResult
 from repro.telemetry import metrics as _metrics
 from repro.telemetry import tracing as _tracing
@@ -58,10 +58,16 @@ CountsFactory = Callable[
 #: order on the coordinating process (also when ``jobs > 1``).
 TrialObserver = Callable[[int, SimulationResult], None]
 
-#: Trial context inherited by forked pool workers (see :func:`run_trials`).
-#: Holding it in a module global instead of pickling it lets experiments keep
-#: passing plain lambdas as factories.
-_POOL_STATE: Optional[Dict] = None
+#: A seeded trial, ``(rng, protocol, configuration, counts)`` (see
+#: :func:`_seed_trial`).
+SeededTrial = Tuple[
+    np.random.Generator, PopulationProtocol, Optional[Configuration], Optional[np.ndarray]
+]
+
+#: The unit runner of the pooled :func:`run_trials` call, inherited by its
+#: forked workers.  Holding it in a module global instead of pickling it lets
+#: experiments keep passing plain lambdas as factories.
+_POOL_UNIT: Optional[Callable[[int], List[SimulationResult]]] = None
 
 #: The active trial memo (installed via :func:`trial_memo`); ``None`` runs
 #: every trial live.  A memo makes :func:`run_trials` durable: finished
@@ -81,8 +87,11 @@ def trial_memo(memo):
     persist per-trial :class:`~repro.engine.results.SimulationResult`
     records; ``inflight_checkpoint``/``checkpoint_hook`` resume and persist
     the one trial that was interrupted mid-run.  Because trial streams are
-    bit-identical for every ``jobs``/``trial_batch`` layout, a memo written
-    under one layout replays correctly under any other.
+    bit-identical for every ``jobs`` value, a memo written under one worker
+    count replays correctly under any other.  ``trial_batch`` changes the
+    streams (``1`` against larger values, and any value on the counts
+    engine), so a memo holds results for one ``trial_batch`` only; serve's
+    job digest includes it.
     """
     global _TRIAL_MEMO
     previous = _TRIAL_MEMO
@@ -161,22 +170,8 @@ class ExperimentSpec:
         if not isinstance(outcome, ExperimentResult):
             # Undecorated runner returning bare rows: wrap it here so every
             # spec yields the typed record.
-            outcome = ExperimentResult(
-                identifier=self.identifier,
-                rows=list(outcome),
-                seed=config.seed if isinstance(config.seed, int) else None,
-                engine=config.engine,
-                stop=config.stop,
-                jobs=config.jobs,
-                trial_batch=config.trial_batch,
-                faults=config.faults.to_dict() if config.faults is not None else None,
-                scheduler=(
-                    config.scheduler.to_dict() if config.scheduler is not None else None
-                ),
-                byzantine=(
-                    config.byzantine.to_dict() if config.byzantine is not None else None
-                ),
-                wall_time=time.perf_counter() - started,
+            outcome = experiment_result(
+                self.identifier, outcome, config, time.perf_counter() - started
             )
         outcome.identifier = outcome.identifier or self.identifier
         outcome.title = self.title
@@ -185,16 +180,32 @@ class ExperimentSpec:
         return outcome
 
 
-def _execute_trial(
+def _seed_trial(
     protocol_factory: Callable[[], PopulationProtocol],
     configuration_factory: Optional[ConfigurationFactory],
-    config: RunConfig,
+    counts_factory: Optional[CountsFactory],
     compiled: Optional[CompiledProtocol],
     seed_seq: np.random.SeedSequence,
-    counts_factory: Optional[CountsFactory] = None,
-    memo_slot=None,
+) -> SeededTrial:
+    """Seed one trial: ``(rng, protocol, configuration, counts)``.
+
+    The one place a trial's generator is built and first drawn from: a fresh
+    protocol, then the configuration or counts factory (``None`` for the one
+    not given), in the same order on every engine, batch and worker.
+    """
+    rng = np.random.default_rng(seed_seq)
+    protocol = protocol_factory()
+    configuration = (
+        configuration_factory(protocol, rng) if configuration_factory is not None else None
+    )
+    counts = counts_factory(protocol, compiled, rng) if counts_factory is not None else None
+    return rng, protocol, configuration, counts
+
+
+def _execute_trial(
+    seeded: SeededTrial, config: RunConfig, compiled: Optional[CompiledProtocol], memo_slot=None
 ) -> SimulationResult:
-    """Run one trial from its own seed sequence (process-agnostic).
+    """Run one seeded trial on the engine ``config`` names (process-agnostic).
 
     ``memo_slot`` is ``(memo, call_key, index)`` when a :func:`trial_memo`
     is active: the trial resumes from its persisted in-flight checkpoint
@@ -203,14 +214,7 @@ def _execute_trial(
     generator consumption up to ``run()`` must match the uninterrupted
     path exactly; a restore then *overwrites* the generator state.
     """
-    rng = np.random.default_rng(seed_seq)
-    protocol = protocol_factory()
-    configuration = (
-        configuration_factory(protocol, rng) if configuration_factory is not None else None
-    )
-    counts = (
-        counts_factory(protocol, compiled, rng) if counts_factory is not None else None
-    )
+    rng, protocol, configuration, counts = seeded
     simulation = make_simulation(
         protocol,
         config,
@@ -235,115 +239,58 @@ def _execute_trial(
     return simulation.run(config)
 
 
-def _pool_trial(index: int) -> SimulationResult:
-    """Pool worker entry point: run trial ``index`` of the inherited context."""
-    state = _POOL_STATE
-    if state is None:
-        raise RuntimeError(
-            "worker has no inherited trial context; the parallel harness "
-            "requires fork-started workers"
+def _start_row(seeded: SeededTrial, compiled: CompiledProtocol, engine: str) -> np.ndarray:
+    """One seeded trial's start as a row of a trial-batched engine: state
+    indices for the compiled engine, a state-count vector for counts."""
+    rng, protocol, configuration, counts = seeded
+    if counts is not None:
+        if engine == "counts":
+            return counts
+        # Sorted indices: exchangeable under the uniform scheduler, the only
+        # one the batched engines run.
+        return np.repeat(
+            np.arange(compiled.num_states, dtype=np.int32), np.asarray(counts, dtype=np.int64)
         )
-    memo = state["memo"]
-    return _execute_trial(
-        protocol_factory=state["protocol_factory"],
-        configuration_factory=state["configuration_factory"],
-        config=state["config"],
-        compiled=state["compiled"],
-        seed_seq=state["seeds"][index],
-        counts_factory=state["counts_factory"],
-        memo_slot=(memo, state["call_key"], index) if memo is not None else None,
-    )
+    if configuration is None:
+        configuration = protocol.initial_configuration(rng)
+    indices = compiled.encode_configuration(configuration)
+    if engine == "counts":
+        return np.bincount(indices, minlength=compiled.num_states)
+    return indices
 
 
 def _execute_trial_batch(
-    protocol_factory: Callable[[], PopulationProtocol],
-    configuration_factory: Optional[ConfigurationFactory],
+    protocol: PopulationProtocol,
+    seeded: Sequence[SeededTrial],
     config: RunConfig,
     compiled: CompiledProtocol,
-    seeds: Sequence[np.random.SeedSequence],
-    counts_factory: Optional[CountsFactory] = None,
+    batch_seed: np.random.SeedSequence,
 ) -> List[SimulationResult]:
-    """Run one batch of trials through a trial-batched engine.
+    """Run seeded trials through the trial-batched form of ``config.engine``.
 
-    Seeding consumes each trial's generator exactly as the per-trial path
-    does (fresh protocol, then configuration/counts factory), so for the
-    compiled engine the whole per-trial stream -- seeding plus execution --
-    is bit-identical for every batch composition.
+    The compiled engine goes on drawing from each trial's own generator, so
+    its per-trial streams do not depend on the batch.  The counts engine
+    samples from one batch-level generator derived from ``batch_seed`` (the
+    batch's first trial seed), independent of every trial's generator.
     """
-    rngs = [np.random.default_rng(seed_seq) for seed_seq in seeds]
-    shared = protocol_factory()
+    rows = np.stack([_start_row(trial, compiled, config.engine) for trial in seeded])
     if config.engine == "compiled":
-        if counts_factory is not None:
-            rows = [counts_factory(protocol_factory(), compiled, rng) for rng in rngs]
-            indices = np.stack(
-                [
-                    np.repeat(
-                        np.arange(compiled.num_states, dtype=np.int32),
-                        np.asarray(row, dtype=np.int64),
-                    )
-                    for row in rows
-                ]
-            )
-            simulation = TrialBatchSimulation(
-                shared, rngs, indices=indices, compiled=compiled
-            )
-        else:
-            configurations = []
-            for rng in rngs:
-                protocol = protocol_factory()
-                configurations.append(
-                    configuration_factory(protocol, rng)
-                    if configuration_factory is not None
-                    else protocol.initial_configuration(rng)
-                )
-            simulation = TrialBatchSimulation(
-                shared, rngs, configurations=configurations, compiled=compiled
-            )
-        return simulation.run(config)
-    # counts engine: per-trial generators seed the start rows, one derived
-    # batch-level generator (independent of all of them) drives the sampling.
-    rows = []
-    for rng in rngs:
-        protocol = protocol_factory()
-        if counts_factory is not None:
-            rows.append(np.asarray(counts_factory(protocol, compiled, rng), dtype=np.int64))
-        else:
-            configuration = (
-                configuration_factory(protocol, rng)
-                if configuration_factory is not None
-                else protocol.initial_configuration(rng)
-            )
-            rows.append(
-                np.bincount(
-                    compiled.encode_configuration(configuration),
-                    minlength=compiled.num_states,
-                )
-            )
-    batch_rng = np.random.default_rng(batch_seed_sequence(seeds[0]))
-    simulation = CountsTrialBatchSimulation(
-        shared, np.stack(rows), rng=batch_rng, compiled=compiled
-    )
+        rngs = [trial[0] for trial in seeded]
+        simulation = TrialBatchSimulation(protocol, rngs, indices=rows, compiled=compiled)
+    else:
+        batch_rng = np.random.default_rng(batch_seed_sequence(batch_seed))
+        simulation = CountsTrialBatchSimulation(protocol, rows, rng=batch_rng, compiled=compiled)
     return simulation.run(config)
 
 
-def _pool_trial_batch(start: int) -> List[SimulationResult]:
-    """Pool worker entry point: run the batch starting at trial ``start``."""
-    state = _POOL_STATE
-    if state is None:
+def _pool_unit(start: int) -> List[SimulationResult]:
+    """Pool worker entry point: the unit at ``start`` of the inherited call."""
+    if _POOL_UNIT is None:
         raise RuntimeError(
             "worker has no inherited trial context; the parallel harness "
             "requires fork-started workers"
         )
-    config: RunConfig = state["config"]
-    seeds = state["seeds"][start : start + config.trial_batch]
-    return _execute_trial_batch(
-        protocol_factory=state["protocol_factory"],
-        configuration_factory=state["configuration_factory"],
-        config=config,
-        compiled=state["compiled"],
-        seeds=seeds,
-        counts_factory=state["counts_factory"],
-    )
+    return _POOL_UNIT(start)
 
 
 def run_trials(
@@ -387,7 +334,8 @@ def run_trials(
     and advances each batch as one trial-batched engine instance
     (:mod:`repro.engine.trial_batch`); with ``jobs > 1`` each worker process
     runs whole batches.  Compiled-engine per-trial results are bit-identical
-    for every ``trial_batch`` x ``jobs`` composition; plans that
+    for every ``trial_batch >= 2`` and every ``jobs``; ``trial_batch=1`` runs
+    the per-trial engine, another stream with the same law.  Plans that
     :func:`~repro.engine.core.unbatchable_reason` refuses fall back
     to per-trial execution with a ``RuntimeWarning`` naming the reason.
     """
@@ -418,59 +366,64 @@ def run_trials(
             RuntimeWarning,
             stacklevel=2,
         )
-    units = (
-        list(range(0, trials, config.trial_batch)) if batched else list(range(trials))
-    )
+    size = config.trial_batch if batched else 1
+    units = list(range(0, trials, size))
 
     # The memo, when installed, names this call positionally and replays any
-    # trials it already holds; replay hits never reach the pool.
+    # unit (batch or single trial) it holds whole; replays never run a unit.
     memo = _TRIAL_MEMO
     call_key = memo.begin_call(trials, config) if memo is not None else None
     tracer = _tracing.current_tracer()
     call_started = time.perf_counter()
 
-    def unit_replay(start: int) -> Optional[List[SimulationResult]]:
-        """The full unit (batch or single trial) from the memo, or ``None``."""
-        if memo is None:
-            return None
-        size = len(seeds[start : start + config.trial_batch]) if batched else 1
-        cached = [memo.lookup(call_key, start + offset) for offset in range(size)]
+    def seed(index: int) -> SeededTrial:
+        return _seed_trial(
+            protocol_factory, configuration_factory, counts_factory, compiled, seeds[index]
+        )
+
+    def run_unit(start: int) -> List[SimulationResult]:
+        """Run the unit starting at trial ``start`` (in a worker when pooled)."""
+        if batched:
+            protocol = protocol_factory()
+            seeded = [seed(index) for index in range(start, min(start + size, trials))]
+            return _execute_trial_batch(protocol, seeded, config, compiled, seeds[start])
+        memo_slot = (memo, call_key, start) if memo is not None else None
+        return [_execute_trial(seed(start), config, compiled, memo_slot)]
+
+    def replay(start: int) -> Optional[List[SimulationResult]]:
+        cached = [memo.lookup(call_key, index) for index in range(start, min(start + size, trials))]
         return cached if all(item is not None for item in cached) else None
 
-    def unit_record(start: int, batch: List[SimulationResult]) -> None:
-        if memo is not None:
-            for offset, result in enumerate(batch):
-                memo.record(call_key, start + offset, result)
-
-    replayed = {start: unit_replay(start) for start in units} if memo is not None else {}
+    replayed = {start: replay(start) for start in units} if memo is not None else {}
     pending = [start for start in units if replayed.get(start) is None]
 
-    context = None
-    if config.jobs > 1 and len(pending) > 1:
-        try:
-            context = multiprocessing.get_context("fork")
-        except ValueError:
-            context = None
-
-    def emit(results: List[SimulationResult], start: int, batch: List[SimulationResult]):
-        for offset, result in enumerate(batch):
-            results.append(result)
-            _metrics.record_trial(result.engine, result.interactions)
-            if tracer is not None:
-                tracer.emit(
-                    "trial",
-                    call=call_key,
-                    trial=start + offset,
-                    engine=result.engine,
-                    n=result.n,
-                    interactions=result.interactions,
-                    stopped=result.stopped,
-                    reason=result.reason,
-                )
-            if on_trial_done is not None:
-                on_trial_done(start + offset, result)
-
-    def finish(results: List[SimulationResult]) -> List[SimulationResult]:
+    def collect(fresh: Iterator[List[SimulationResult]]) -> List[SimulationResult]:
+        """Replay or take each unit in trial order; record, count, trace and
+        observe every trial.  ``fresh`` yields the pending units in order."""
+        results: List[SimulationResult] = []
+        for start in units:
+            batch = replayed.get(start)
+            if batch is None:
+                batch = next(fresh)
+                if memo is not None:
+                    for index, result in enumerate(batch, start):
+                        memo.record(call_key, index, result)
+            for index, result in enumerate(batch, start):
+                results.append(result)
+                _metrics.record_trial(result.engine, result.interactions)
+                if tracer is not None:
+                    tracer.emit(
+                        "trial",
+                        call=call_key,
+                        trial=index,
+                        engine=result.engine,
+                        n=result.n,
+                        interactions=result.interactions,
+                        stopped=result.stopped,
+                        reason=result.reason,
+                    )
+                if on_trial_done is not None:
+                    on_trial_done(index, result)
         if tracer is not None:
             tracer.emit(
                 "harness_call",
@@ -482,74 +435,25 @@ def run_trials(
             )
         return results
 
+    context = None
+    if config.jobs > 1 and len(pending) > 1:
+        try:
+            context = multiprocessing.get_context("fork")
+        except ValueError:
+            context = None
     if context is None:
-        results: List[SimulationResult] = []
-        for start in units:
-            batch = replayed.get(start)
-            if batch is None:
-                if batched:
-                    batch = _execute_trial_batch(
-                        protocol_factory=protocol_factory,
-                        configuration_factory=configuration_factory,
-                        config=config,
-                        compiled=compiled,
-                        seeds=seeds[start : start + config.trial_batch],
-                        counts_factory=counts_factory,
-                    )
-                else:
-                    batch = [
-                        _execute_trial(
-                            protocol_factory=protocol_factory,
-                            configuration_factory=configuration_factory,
-                            config=config,
-                            compiled=compiled,
-                            seed_seq=seeds[start],
-                            counts_factory=counts_factory,
-                            memo_slot=(
-                                (memo, call_key, start) if memo is not None else None
-                            ),
-                        )
-                    ]
-                unit_record(start, batch)
-            emit(results, start, batch)
-        return finish(results)
+        return collect(map(run_unit, pending))
 
-    global _POOL_STATE
-    _POOL_STATE = {
-        "protocol_factory": protocol_factory,
-        "configuration_factory": configuration_factory,
-        "config": config,
-        "compiled": compiled,
-        "seeds": seeds,
-        "counts_factory": counts_factory,
-        "memo": memo,
-        "call_key": call_key,
-    }
+    global _POOL_UNIT
+    _POOL_UNIT = run_unit
     try:
         workers = min(config.jobs, len(pending))
+        # Batches are the work unit, so the pool schedules them whole.
+        chunksize = 1 if batched else max(1, len(pending) // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers, mp_context=context) as executor:
-            results = []
-            if batched:
-                # One batch per map item: batches are the work unit, so the
-                # pool schedules them whole (batch-per-worker composition).
-                pool_iter = executor.map(_pool_trial_batch, pending, chunksize=1)
-            else:
-                chunksize = max(1, len(pending) // (4 * workers))
-                pool_iter = (
-                    [result]
-                    for result in executor.map(_pool_trial, pending, chunksize=chunksize)
-                )
-            # ``pending`` is increasing and the pool yields in input order,
-            # so interleaving replayed units keeps trial order intact.
-            for start in units:
-                batch = replayed.get(start)
-                if batch is None:
-                    batch = next(pool_iter)
-                    unit_record(start, batch)
-                emit(results, start, batch)
-            return finish(results)
+            return collect(executor.map(_pool_unit, pending, chunksize=chunksize))
     finally:
-        _POOL_STATE = None
+        _POOL_UNIT = None
 
 
 def measure_parallel_times(

@@ -13,7 +13,6 @@ import math
 from typing import Dict, List, Mapping, Optional
 
 from repro.adversary.initial_configs import optimal_silent_adversarial_configuration
-from repro.analysis.state_space import count_observed_states
 from repro.core.optimal_silent import OptimalSilentSSR
 from repro.core.silent_n_state import SilentNStateSSR, simulate_silent_n_state
 from repro.core.sublinear import SublinearTimeSSR
@@ -47,7 +46,6 @@ def _measure_silent_n_state(n: int, trials: int, rng) -> Dict:
 
 def _measure_optimal_silent(n: int, trials: int, rng, paper_constants: bool) -> Dict:
     times = []
-    observed_states = 0
     for trial_rng in spawn_rngs(rng, trials):
         protocol = (
             OptimalSilentSSR(n) if paper_constants else OptimalSilentSSR(n, **PRACTICAL_CONSTANTS)
@@ -56,9 +54,6 @@ def _measure_optimal_silent(n: int, trials: int, rng, paper_constants: bool) -> 
         simulation = Simulation(protocol, configuration=configuration, rng=trial_rng)
         result = simulation.run_until_stabilized(check_interval=n)
         times.append(result.parallel_time)
-        observed_states = max(
-            observed_states, count_observed_states(protocol, interactions=5 * n, rng=trial_rng)
-        )
     stats = TrialStatistics.from_values("optimal-silent", n, times)
     protocol = OptimalSilentSSR(n) if paper_constants else OptimalSilentSSR(n, **PRACTICAL_CONSTANTS)
     return {

@@ -53,9 +53,10 @@ def config_digest(config: RunConfig) -> str:
 
     Two configs share a digest exactly when their ``to_dict()`` provenance
     matches, so a checkpoint refuses to resume under a different engine,
-    stop condition, seed, cap, or adversary spec.  (``jobs`` and
-    ``trial_batch`` are part of the dict: they do not change results, but a
-    digest that over-rejects is safe and keeps the rule simple.)
+    stop condition, seed, cap, or adversary spec.  (``jobs`` is part of the
+    dict too: it does not change results, but a digest that over-rejects is
+    safe and keeps the rule simple.  ``trial_batch`` must be: ``1`` and larger
+    values run different streams.)
     """
     return hashlib.sha256(canonical_json(config.to_dict()).encode("utf-8")).hexdigest()
 
